@@ -18,7 +18,7 @@ than as a pickled list of Move objects.  Disk entries are written atomically
 and carry a payload checksum; on read the checksum is verified, the pickle
 is loaded defensively, the stored problem is compared against the requested
 one, the columns are decoded, and (by default) the schedule is replayed
-through the vectorised replay kernel.  Anything that fails — truncation,
+through the replay kernel.  Anything that fails — truncation,
 bit flips, stale pickles from another library version, old-format entries,
 digest collisions — counts as *corrupt*: the entry is deleted and the
 caller falls back to recomputation.  A cache can slow a run down, but it
@@ -222,7 +222,7 @@ class ResultCache:
         error.
     validate:
         When True (default), a disk entry's decoded schedule is replayed
-        through the vectorised replay kernel before being served and its
+        through the replay kernel before being served and its
         statistics are compared against the stored ones — the same "never
         trust, always replay" policy the rest of the library follows.
         Memory entries are served as stored; they never left the process.

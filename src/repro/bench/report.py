@@ -32,18 +32,13 @@ __all__ = [
 #: Identifies the document family (grep-able in artifact stores).
 SCHEMA_NAME = "repro-prbp-bench"
 
-#: Bumped on changes to the record or envelope layout.  Version 2 adds the
-#: anytime-refinement trajectory fields (``refine_initial_cost``,
-#: ``refine_steps``, ``refine_accepted``, ``refine_time_to_best_s``) to every
-#: scenario record.  Version 3 adds the replay-throughput microbenchmark
-#: fields (``replay_speedup``, ``replay_schedules_per_s``,
-#: ``replay_engine_schedules_per_s``).
-SCHEMA_VERSION = 3
+#: Bumped on changes to the record or envelope layout.  Version 4 drops the
+#: replay-throughput fields that version 3 added to every scenario record.
+SCHEMA_VERSION = 4
 
-#: Versions :func:`load_report` accepts.  Older documents lack the newer
-#: additive fields, which every consumer treats as absent/None — keeping
-#: them loadable lets ``--compare`` gate a v3 run against a v1/v2 baseline.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3)
+#: Versions :func:`load_report` accepts: only the current one, so a baseline
+#: is always read with the record layout it was written in.
+SUPPORTED_SCHEMA_VERSIONS = (4,)
 
 
 def environment_metadata() -> Dict[str, object]:

@@ -81,12 +81,6 @@ class ScenarioRecord:
     refine_steps: Optional[int] = None
     refine_accepted: Optional[int] = None
     refine_time_to_best_s: Optional[float] = None
-    #: replay-throughput microbenchmark fields (schema v3): kernel-over-engine
-    #: schedule-validation speedup and the two absolute throughputs; all None
-    #: for ordinary solve scenarios.
-    replay_speedup: Optional[float] = None
-    replay_schedules_per_s: Optional[float] = None
-    replay_engine_schedules_per_s: Optional[float] = None
     error: Optional[str] = None
 
     @property
@@ -125,9 +119,6 @@ class ScenarioRecord:
             "refine_steps": self.refine_steps,
             "refine_accepted": self.refine_accepted,
             "refine_time_to_best_s": self.refine_time_to_best_s,
-            "replay_speedup": self.replay_speedup,
-            "replay_schedules_per_s": self.replay_schedules_per_s,
-            "replay_engine_schedules_per_s": self.replay_engine_schedules_per_s,
             "error": self.error,
         }
 
@@ -207,20 +198,6 @@ def run_scenario(
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
     base = _base_fields(scenario, tier)
-    if scenario.custom_runner is not None:
-        # measurement scenarios (e.g. replay throughput) own their whole
-        # run; they never touch the result cache — there is no solve result
-        # to store — and report through the same record type
-        try:
-            record = scenario.custom_runner(scenario, tier, max(1, repeats))
-        except Exception as exc:  # noqa: BLE001 — a broken bench is a record, not a crash
-            return ScenarioRecord(error=f"custom runner failed: {exc}", **base)
-        if not isinstance(record, ScenarioRecord):
-            return ScenarioRecord(
-                error=f"custom runner returned {type(record).__name__}, not a ScenarioRecord",
-                **base,
-            )
-        return record
     try:
         problem = scenario.build_problem(tier)
     except Exception as exc:  # noqa: BLE001 — a bad factory is a scenario error
@@ -316,16 +293,8 @@ def _run_suite_parallel(
     bases: List[Dict[str, object]] = [_base_fields(s, tier) for s in scenarios]
 
     solvable: List[int] = []
-    custom: List[int] = []
     problems: List[PebblingProblem] = []
     for i, scenario in enumerate(scenarios):
-        if scenario.custom_runner is not None:
-            # custom measurements (microbenchmarks) are deferred until the
-            # worker pool has drained: timing them while the pool's workers
-            # churn through the other scenarios would measure contention,
-            # not the code.  Record order still follows the registry.
-            custom.append(i)
-            continue
         try:
             problems.append(scenario.build_problem(tier))
             solvable.append(i)
@@ -361,8 +330,6 @@ def _run_suite_parallel(
                 error=f"solve() failed: {outcome}",
                 **bases[i],
             )
-    for i in custom:
-        records[i] = run_scenario(scenarios[i], tier=tier, repeats=repeats)
     if progress is not None:
         for record in records:
             progress(record)

@@ -108,16 +108,6 @@ class BenchScenario:
         When True the run must come back with ``SolveResult.optimal`` — the
         scenario reproduces a matching upper/lower bound pair, and losing
         that match is a correctness regression, not noise.
-    custom_runner:
-        When set, the runner hands the whole measurement to this callable —
-        ``custom_runner(scenario, tier, repeats)`` must return a
-        ``ScenarioRecord`` — instead of timing a ``solve()`` call.  This is
-        how microbenchmarks that measure something other than a solve (e.g.
-        the replay-throughput scenarios) live in the same registry, reports
-        and ``--compare`` gate as the solver workloads.  Custom scenarios
-        never consult the result cache and always run serially; under
-        ``--jobs`` they run after the worker pool has drained, so their
-        timings are not polluted by the suite's own parallelism.
     """
 
     name: str
@@ -131,7 +121,6 @@ class BenchScenario:
     tiers: Mapping[str, ScenarioTier] = field(default_factory=dict)
     reference: str = ""
     expect_optimal: bool = False
-    custom_runner: Optional[Callable[["BenchScenario", str, int], object]] = None
 
     def __post_init__(self) -> None:
         if self.game not in GAMES:

@@ -40,7 +40,6 @@ from ..dags.trees import optimal_prbp_tree_cost, optimal_rbp_tree_cost
 from ..hardness.levels import demo_theorem71_instance
 from ..hardness.independent_set import UndirectedGraph
 from ..hardness.reduction_thm48 import build_theorem48_instance
-from .replay_bench import register_replay_scenarios
 from .scenario import BenchScenario, ScenarioTier, register_scenario
 
 __all__ = ["register_builtin_scenarios"]
@@ -660,8 +659,3 @@ def register_builtin_scenarios() -> None:
             reference="Sec. 8.1 anytime improvement over the Belady baseline",
         )
     )
-
-    # ------------------------------------------------------------------ #
-    # Schedule-IR replay kernel: validation throughput vs the engine
-    # ------------------------------------------------------------------ #
-    register_replay_scenarios()

@@ -27,23 +27,9 @@ peak red usage, terminality) is identical to what ``RBPGame`` /
 ``PRBPGame`` produce.  The semantics stay *defined* by the engines; the
 kernel is a proven-equivalent fast path.
 
-Two execution strategies share those semantics:
-
-* :func:`replay` / :func:`replay_io_cost` — a tuned scalar loop over plain
-  int rows (no Move-object dispatch, no set churn); this is what the
-  anytime refiner scores every mutation with.
-* :func:`replay_many` — batched replay.  RBP batches over a common
-  ``(dag, r, variant)`` run through a fully vectorized numpy kernel: all
-  schedules are concatenated, every pebble transition becomes an absolute
-  *event* keyed by ``(schedule, node, time)``, and each legality rule is
-  evaluated for all moves of all schedules at once with sorted-event
-  ``searchsorted`` queries and segmented reductions.  Optimistic event
-  application is exact up to each schedule's first violation, and every
-  rule check only consults state strictly before its own move, so the
-  minimum flagged index equals the engine's first illegal move.  PRBP's
-  four-valued pebble states make transitions depend on the pre-state,
-  which defeats the absolute-event trick, so PRBP batches fall back to the
-  scalar kernel per schedule.
+:func:`replay` / :func:`replay_io_cost` run a tuned scalar loop over plain
+int rows (no Move-object dispatch, no set churn); this is what the anytime
+refiner scores every mutation with.
 
 The IR is also the interchange format of the cache and the wire protocol:
 :func:`pack_arrays` / :func:`unpack_arrays` implement the shared base64
@@ -81,7 +67,6 @@ __all__ = [
     "encode_moves",
     "decode_moves",
     "replay",
-    "replay_many",
     "replay_io_cost",
     "kernel_stats",
     "ir_digest",
@@ -127,7 +112,7 @@ _GAMES = ("rbp", "prbp")
 
 
 class _DagData:
-    """Flat, index-friendly projections of one DAG, shared by both kernels."""
+    """Flat, index-friendly projections of one DAG, shared by the scalar kernels."""
 
     __slots__ = (
         "n",
@@ -141,11 +126,6 @@ class _DagData:
         "is_sink",
         "sinks",
         "edge_index",
-        "src_np",
-        "indeg_np",
-        "pstart_np",
-        "pflat_np",
-        "nonsource_sinks_np",
     )
 
     def __init__(self, dag: ComputationalDAG) -> None:
@@ -174,18 +154,6 @@ class _DagData:
         for v in dag.sinks:
             self.is_sink[v] = 1
         self.sinks: Tuple[int, ...] = dag.sinks
-        self.src_np = np.zeros(n, dtype=bool)
-        self.src_np[list(dag.sources)] = True
-        self.indeg_np = np.asarray(self.indeg, dtype=np.int64)
-        self.pstart_np = np.concatenate(
-            ([0], np.cumsum(self.indeg_np))
-        ).astype(np.int64)
-        self.pflat_np = np.asarray(
-            [u for v in range(n) for u in self.preds[v]], dtype=np.int64
-        )
-        self.nonsource_sinks_np = np.asarray(
-            [v for v in dag.sinks if not self.is_source[v]], dtype=np.int64
-        )
 
 
 _DAG_DATA_CACHE: "OrderedDict[int, Tuple[ComputationalDAG, _DagData]]" = OrderedDict()
@@ -531,7 +499,7 @@ class ReplayOutcome:
 
 
 # --------------------------------------------------------------------------- #
-# scalar kernels (single-schedule fast path; also the PRBP batch fallback)
+# scalar kernels
 # --------------------------------------------------------------------------- #
 
 
@@ -959,299 +927,6 @@ def replay_io_cost(
 
 
 # --------------------------------------------------------------------------- #
-# vectorized batched RBP replay
-# --------------------------------------------------------------------------- #
-
-
-def _any_event_before(
-    sorted_keys: np.ndarray, key_m: int, qg: np.ndarray, qt: np.ndarray
-) -> np.ndarray:
-    """For each query: does ``sorted_keys`` hold an event on ``qg`` with time < ``qt``?"""
-    if sorted_keys.size == 0:
-        return np.zeros(qg.shape[0], dtype=bool)
-    lo = np.searchsorted(sorted_keys, qg * key_m, side="left")
-    inb = lo < sorted_keys.size
-    safe = np.where(inb, lo, 0)
-    return inb & (sorted_keys[safe] < qg * key_m + qt)
-
-
-def _rbp_batch(
-    data: _DagData,
-    r: int,
-    variant: GameVariant,
-    irs: Sequence[ScheduleIR],
-    masks: bool = True,
-) -> List[ReplayOutcome]:
-    """Replay a batch of RBP schedules over one ``(dag, r, variant)`` at once.
-
-    Optimistic simulation: every move's pebble effect is applied
-    unconditionally as an absolute timestamped event on its ``(schedule,
-    node)`` key; each legality rule is then checked for all moves at once
-    against the event log.  Events from moves at or after a schedule's
-    first violation can only corrupt *later* state, and every rule reads
-    state strictly before its own move, so the minimum flagged index per
-    schedule equals the engine's first illegal move — states and costs
-    before it are exact.
-    """
-    n = data.n
-    lens = np.asarray([len(ir) for ir in irs], dtype=np.int64)
-    B = len(irs)
-    M = int(lens.sum())
-    sink_count = int(data.nonsource_sinks_np.size)
-    if M == 0:
-        empty_terminal = sink_count == 0
-        return [
-            ReplayOutcome(
-                legal=True,
-                terminal=empty_terminal,
-                failed_at=None,
-                io_cost=0,
-                compute_cost_total=0.0,
-                peak_red=0,
-                red=np.zeros(n, dtype=bool) if masks else None,
-                blue=data.src_np.copy() if masks else None,
-                computed=np.zeros(n, dtype=bool) if masks else None,
-            )
-            for _ in irs
-        ]
-    # key(gnode, time) = gnode * (M + 1) + time; int32 when the key space fits
-    # (radix sort + binary search run noticeably faster on the narrow type)
-    key_m = M + 1
-    dt = np.int32 if B * n * key_m < 2**31 - 1 else np.int64
-    O = np.concatenate([ir.op for ir in irs]).astype(dt, copy=False)
-    V = np.concatenate([ir.node for ir in irs]).astype(dt, copy=False)
-    S = np.concatenate([ir.arg for ir in irs]).astype(dt, copy=False)
-    starts = np.zeros(B + 1, dtype=np.int64)
-    np.cumsum(lens, out=starts[1:])
-    sid = np.repeat(np.arange(B, dtype=dt), lens)
-    t = np.arange(M, dtype=dt)
-    g = sid * dt(n) + V
-
-    allow_delete = variant.allow_delete
-    allow_sliding = variant.allow_sliding
-    one_shot = variant.one_shot
-
-    is_load = O == OP_LOAD
-    is_save = O == OP_SAVE
-    is_comp = O == OP_COMPUTE
-    is_del = O == OP_DELETE
-    is_slide = is_comp & (S >= 0)
-    bad_op = O > OP_DELETE
-
-    key = g * dt(key_m) + t  # every move's own (gnode, time) key, reused throughout
-
-    # ---- red-pebble event log (optimistic application of every move)
-    ev_mask = is_load | is_comp | is_del if allow_delete else ~bad_op
-    ev_idx = np.nonzero(ev_mask)[0]
-    n_move_events = ev_idx.size
-    ev_keys_raw = key[ev_idx]
-    ev_g_raw = g[ev_idx]
-    ev_on_raw = (is_load | is_comp)[ev_idx].astype(np.int8)
-    slide_idx = np.nonzero(is_slide)[0]
-    if slide_idx.size:
-        slide_g = sid[slide_idx] * dt(n) + S[slide_idx]
-        ev_keys_raw = np.concatenate([ev_keys_raw, slide_g * dt(key_m) + t[slide_idx]])
-        ev_g_raw = np.concatenate([ev_g_raw, slide_g])
-        ev_on_raw = np.concatenate([ev_on_raw, np.zeros(slide_idx.size, dtype=np.int8)])
-    order = np.argsort(ev_keys_raw, kind="stable")
-    ev_keys = ev_keys_raw[order]
-    ev_vals = ev_on_raw[order]
-    ev_gs = ev_g_raw[order]
-
-    def red_before_keys(qkeys: np.ndarray, qg: np.ndarray) -> np.ndarray:
-        if ev_keys.size == 0:
-            return np.zeros(qkeys.shape[0], dtype=bool)
-        idx = np.searchsorted(ev_keys, qkeys, side="left") - 1
-        ok = idx >= 0
-        safe = np.where(ok, idx, 0)
-        return ok & (ev_gs[safe] == qg) & (ev_vals[safe] == 1)
-
-    def red_before(qg: np.ndarray, qt: np.ndarray) -> np.ndarray:
-        return red_before_keys(qg * dt(key_m) + qt, qg)
-
-    # red just before each *event* needs no search: it is the value of the
-    # previous event on the same gnode in sort order (keys are unique per
-    # (gnode, time), so the sort order is the per-gnode timeline)
-    prev_red_sorted = np.zeros(ev_keys.size, dtype=bool)
-    if ev_keys.size > 1:
-        prev_red_sorted[1:] = (ev_gs[1:] == ev_gs[:-1]) & (ev_vals[:-1] == 1)
-    inv = np.empty(order.size, dtype=np.int64)
-    inv[order] = np.arange(order.size, dtype=np.int64)
-    prev_red = prev_red_sorted[inv]
-    rbs = np.zeros(M, dtype=bool)  # is each move's own node red just before it?
-    rbs[ev_idx] = prev_red[:n_move_events]
-    src_red = prev_red[n_move_events:]  # slide sources, aligned with slide_idx
-
-    # the only non-event moves whose red state matters are saves when deletes
-    # are allowed (otherwise saves are events themselves); their binary search
-    # is fused with the compute-predecessor queries into one call
-    comp_idx = np.nonzero(is_comp)[0]
-    pred_total = 0
-    if comp_idx.size:
-        pred_counts = data.indeg_np[V[comp_idx]]
-        pred_total = int(pred_counts.sum())
-    save_q = np.nonzero(is_save)[0] if allow_delete else np.empty(0, dtype=np.int64)
-    q_keys = []
-    q_g = []
-    if save_q.size:
-        q_keys.append(key[save_q])
-        q_g.append(g[save_q])
-    if pred_total:
-        seg_end = np.cumsum(pred_counts)
-        seg_start = seg_end - pred_counts
-        flat = (
-            np.arange(pred_total, dtype=np.int64)
-            - np.repeat(seg_start, pred_counts)
-            + np.repeat(data.pstart_np[V[comp_idx]], pred_counts)
-        )
-        pred_nodes = data.pflat_np[flat].astype(dt, copy=False)
-        pg = np.repeat(sid[comp_idx], pred_counts) * dt(n) + pred_nodes
-        q_keys.append(pg * dt(key_m) + np.repeat(t[comp_idx], pred_counts))
-        q_g.append(pg)
-    pred_red = np.empty(0, dtype=bool)
-    if q_keys:
-        red_extra = red_before_keys(np.concatenate(q_keys), np.concatenate(q_g))
-        if save_q.size:
-            rbs[save_q] = red_extra[: save_q.size]
-        pred_red = red_extra[save_q.size :]
-
-    # ---- capacity: per-move red-count delta, prefix-summed per schedule
-    delta = np.zeros(M, dtype=np.int64)
-    plain_add = is_load | (is_comp & ~is_slide)
-    delta[plain_add] = 1 - rbs[plain_add]
-    if slide_idx.size:
-        delta[slide_idx] = (1 - rbs[slide_idx].astype(np.int64)) - src_red.astype(
-            np.int64
-        )
-    delta[is_del] = -rbs[is_del].astype(np.int64)
-    if not allow_delete:
-        delta[is_save] = -rbs[is_save].astype(np.int64)
-    counts = np.cumsum(delta)
-    padded = np.concatenate(([0], counts))
-    count_after = counts - np.repeat(padded[starts[:-1]], lens)
-    # the engine checks capacity only where it places a *new* red pebble
-    viol = plain_add & ~rbs & (count_after > r)
-
-    # ---- blue availability (loads) — a node is blue iff source or saved before
-    save_keys = np.sort(key[is_save])
-    load_idx = np.nonzero(is_load)[0]
-    if save_keys.size:
-        lo = np.searchsorted(save_keys, g[load_idx] * dt(key_m), side="left")
-        inb = lo < save_keys.size
-        safe = np.where(inb, lo, 0)
-        blue_at_load = data.src_np[V[load_idx]] | (
-            inb & (save_keys[safe] < key[load_idx])
-        )
-    else:
-        blue_at_load = data.src_np[V[load_idx]]
-    viol[load_idx[~blue_at_load]] = True
-
-    # ---- saves/deletes need the node red; deletes also need the variant
-    viol |= is_save & ~rbs
-    viol |= is_del if not allow_delete else is_del & ~rbs
-    viol |= bad_op
-
-    # ---- computes: non-source, one-shot, all predecessors red, slide rules
-    viol |= is_comp & data.src_np[V]
-    if one_shot and comp_idx.size:
-        corder = np.argsort(key[comp_idx], kind="stable")
-        cg = g[comp_idx][corder]
-        dup = np.zeros(comp_idx.size, dtype=bool)
-        dup[1:] = cg[1:] == cg[:-1]
-        viol[comp_idx[corder][dup]] = True
-    if pred_total:
-        nz = pred_counts > 0
-        all_red = np.ones(comp_idx.size, dtype=bool)
-        if nz.any():
-            mins = np.minimum.reduceat(pred_red.astype(np.int8), seg_start[nz])
-            all_red[nz] = mins.astype(bool)
-        viol[comp_idx[~all_red]] = True
-    if slide_idx.size:
-        if not allow_sliding:
-            viol[slide_idx] = True
-        else:
-            pred_sets = data.pred_sets
-            v_list = V[slide_idx].tolist()
-            s_list = S[slide_idx].tolist()
-            for k, (v, s) in enumerate(zip(v_list, s_list)):
-                if s not in pred_sets[v]:
-                    viol[slide_idx[k]] = True
-
-    # ---- first violation per schedule; everything downstream is prefix math
-    viol_t = np.where(viol, t, M)
-    fail_abs = np.full(B, M, dtype=np.int64)
-    nonempty = lens > 0
-    if nonempty.any():
-        fail_abs[nonempty] = np.minimum.reduceat(viol_t, starts[:-1][nonempty])
-    legal = fail_abs >= starts[1:]
-    end_abs = np.minimum(fail_abs, starts[1:])
-    failed_local = np.where(legal, -1, fail_abs - starts[:-1])
-
-    io_cum = np.concatenate(([0], np.cumsum((O <= OP_SAVE).astype(np.int64))))
-    io_counts = io_cum[end_abs] - io_cum[starts[:-1]]
-    comp_cum = np.concatenate(([0], np.cumsum(is_comp.astype(np.int64))))
-    comp_counts = comp_cum[end_abs] - comp_cum[starts[:-1]]
-
-    effective = np.where(t < np.repeat(end_abs, lens), count_after, -1)
-    peaks = np.zeros(B, dtype=np.int64)
-    if nonempty.any():
-        peaks[nonempty] = np.maximum.reduceat(effective, starts[:-1][nonempty])
-    peaks = np.maximum(peaks, 0)
-
-    # ---- round 2 (needs end_abs): terminality, and — only when asked for —
-    # the final-state masks, with all save-log queries fused into one call
-    if sink_count:
-        sink_g = (
-            np.arange(B, dtype=dt)[:, None] * dt(n)
-            + data.nonsource_sinks_np.astype(dt)[None, :]
-        ).ravel()
-        sink_t = np.repeat(end_abs.astype(dt), sink_count)
-    if masks:
-        all_nodes = np.arange(n, dtype=dt)
-        all_g = (np.arange(B, dtype=dt)[:, None] * dt(n) + all_nodes[None, :]).ravel()
-        all_t = np.repeat(end_abs.astype(dt), n)
-        comp_keys = np.sort(key[comp_idx])
-        red_final = red_before(all_g, all_t).reshape(B, n)
-        computed_final = _any_event_before(comp_keys, key_m, all_g, all_t).reshape(B, n)
-        if sink_count:
-            saved = _any_event_before(
-                save_keys,
-                key_m,
-                np.concatenate([all_g, sink_g]),
-                np.concatenate([all_t, sink_t]),
-            )
-            blue_final = data.src_np[None, :] | saved[: B * n].reshape(B, n)
-            terminal = legal & saved[B * n :].reshape(B, sink_count).all(axis=1)
-        else:
-            blue_final = data.src_np[None, :] | _any_event_before(
-                save_keys, key_m, all_g, all_t
-            ).reshape(B, n)
-            terminal = legal.copy()
-    elif sink_count:
-        terminal = legal & _any_event_before(save_keys, key_m, sink_g, sink_t).reshape(
-            B, sink_count
-        ).all(axis=1)
-    else:
-        terminal = legal.copy()
-
-    compute_cost = variant.compute_cost
-    return [
-        ReplayOutcome(
-            legal=bool(legal[b]),
-            terminal=bool(terminal[b]),
-            failed_at=None if legal[b] else int(failed_local[b]),
-            io_cost=int(io_counts[b]),
-            compute_cost_total=float(comp_counts[b]) * compute_cost,
-            peak_red=int(peaks[b]),
-            red=red_final[b] if masks else None,
-            blue=blue_final[b] if masks else None,
-            computed=computed_final[b] if masks else None,
-        )
-        for b in range(B)
-    ]
-
-
-# --------------------------------------------------------------------------- #
 # public replay entry points
 # --------------------------------------------------------------------------- #
 
@@ -1277,45 +952,6 @@ def replay(ir: ScheduleIR) -> ReplayOutcome:
     if ir.game == "rbp":
         return _rbp_scalar(data, ir.r, ir.variant, _ir_rows(ir))
     return _prbp_scalar(data, ir.r, ir.variant, _ir_rows(ir))
-
-
-def replay_many(
-    irs: Sequence[ScheduleIR],
-    *,
-    vectorized: Optional[bool] = None,
-    masks: bool = True,
-) -> List[ReplayOutcome]:
-    """Replay a batch of IRs, in input order.
-
-    RBP IRs sharing one ``(dag, r, variant)`` are replayed by the
-    vectorized batch kernel (``vectorized=None`` auto-enables it for
-    batches of 2+; ``True``/``False`` force either path — the differential
-    harness forces both).  PRBP IRs always use the scalar kernel.
-
-    ``masks=False`` skips the final-state mask reconstruction in the batch
-    kernel (the ``red``/``blue``/``computed`` fields come back ``None``);
-    legality, terminality, costs, and peaks are unaffected.  Throughput
-    callers that only score candidates should pass ``masks=False``.
-    """
-    outcomes: List[Optional[ReplayOutcome]] = [None] * len(irs)
-    groups: "OrderedDict[Tuple[int, int, GameVariant], List[int]]" = OrderedDict()
-    for i, ir in enumerate(irs):
-        _check_ir_game(ir)
-        if ir.game == "rbp" and vectorized is not False:
-            groups.setdefault((id(ir.dag), ir.r, ir.variant), []).append(i)
-        else:
-            outcomes[i] = replay(ir)
-    for indices in groups.values():
-        batch = [irs[i] for i in indices]
-        if vectorized is None and len(batch) < 2:
-            outcomes[indices[0]] = replay(batch[0])
-            continue
-        results = _rbp_batch(
-            _dag_data(batch[0].dag), batch[0].r, batch[0].variant, batch, masks=masks
-        )
-        for i, outcome in zip(indices, results):
-            outcomes[i] = outcome
-    return [outcome for outcome in outcomes if outcome is not None]
 
 
 def kernel_stats(ir: ScheduleIR) -> ScheduleStats:

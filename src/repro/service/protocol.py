@@ -11,12 +11,10 @@ Versioning
 Each message carries ``"v": PROTOCOL_VERSION``.  A server refuses requests
 whose version is outside :data:`SUPPORTED_PROTOCOL_VERSIONS` with a
 ``protocol`` error instead of guessing; the version is bumped whenever the
-frame layout or a message schema changes incompatibly.  v4 is a strict
-superset of v3 — every new field is optional and every new op degrades to a
-typed error on a v3 server — so v3 requests are still accepted and validators
-ignore unknown fields (which is how a v3 server already treated a v4
-``trace`` field).  Response frames stamp the server's own version; clients
-do not gate on it.
+frame layout or a message schema changes incompatibly.  Every node of a
+deployment ships from the same build, so only the current version is
+accepted.  Validators ignore unknown fields.  Response frames stamp the
+server's own version; clients do not gate on it.
 
 Problem and result serialization
 --------------------------------
@@ -28,8 +26,8 @@ does not faithfully describe the graph and is refused.  Results travel as
 the schedule's packed columnar form (the base64 ``ops``/``nodes``/``args``
 columns of :mod:`repro.core.schedule_ir`, protocol version 2) plus solver
 provenance; :func:`result_from_wire` decodes the columns and replays them
-through the vectorised replay kernel (the library's "never trust, always
-replay" policy), so a service client ends up holding a
+through the replay kernel (the library's "never trust, always replay"
+policy), so a service client ends up holding a
 :class:`~repro.api.result.SolveResult` whose cost is the cost of an actually
 legal pebbling — bit-identical to what a local ``solve()`` returns.
 
@@ -95,13 +93,11 @@ __all__ = [
 #: context; solve ``result``/``error`` responses may echo a ``trace_id``;
 #: a new ``metrics`` op returns the node's metrics registry (text
 #: exposition and/or JSON snapshot); ``solve_stats`` gains ``attempts``
-#: (per-member portfolio timings).  All additions are optional, so v3
-#: frames remain valid and v3 servers ignore the trace field.
+#: (per-member portfolio timings).
 PROTOCOL_VERSION = 4
 
-#: Request versions this build accepts.  v3 requests lack the optional
-#: observability fields but are otherwise identical.
-SUPPORTED_PROTOCOL_VERSIONS = frozenset({3, 4})
+#: Request versions this build accepts.
+SUPPORTED_PROTOCOL_VERSIONS = frozenset({4})
 
 #: Upper bound on a single frame's payload.  Large enough for the move list
 #: of a multi-thousand-node schedule, small enough that a garbage length
@@ -305,7 +301,7 @@ def validate_request(doc: Mapping[str, object]) -> Dict[str, object]:
         trace = doc.get("trace")
         if trace is not None:
             # v4 — optional distributed-trace context.  Malformed contexts
-            # are a schema error; absence (the v3 case) is fine.
+            # are a schema error; absence is fine.
             _require(isinstance(trace, dict), "'trace' must be an object or absent")
             for field in ("trace_id", "span_id"):
                 value = trace.get(field)  # type: ignore[union-attr]
@@ -508,7 +504,7 @@ def _schedule_from_wire(problem: PebblingProblem, doc: object) -> Tuple[Schedule
 
     The packed columns are decoded (any malformation — bad base64, wrong
     byte counts, out-of-range op/node ids — is a :class:`ProtocolError`) and
-    the resulting IR is replayed through the vectorised kernel, which both
+    the resulting IR is replayed through the kernel, which both
     checks legality/terminality and recomputes every statistic.  Returns the
     rebuilt schedule together with the kernel-replayed statistics.
     """
@@ -606,9 +602,7 @@ def result_to_wire(result: SolveResult) -> Dict[str, object]:
 
 
 def _attempts_from_wire(doc: object) -> Tuple[SolveAttempt, ...]:
-    """Decode the v4 ``attempts`` list; absent (v3) decodes to empty."""
-    if doc is None:
-        return ()
+    """Decode the ``attempts`` list of a result's ``solve_stats``."""
     _require(isinstance(doc, list), "solve_stats 'attempts' must be a list")
     assert isinstance(doc, list)
     attempts = []
@@ -633,7 +627,7 @@ def _attempts_from_wire(doc: object) -> Tuple[SolveAttempt, ...]:
 def result_from_wire(problem: PebblingProblem, doc: Mapping[str, object]) -> SolveResult:
     """Rebuild a :class:`SolveResult` against the locally held problem.
 
-    The packed columns are replayed through the vectorised kernel — the
+    The packed columns are replayed through the kernel — the
     replay both validates legality and recomputes every statistic, so the
     returned result is bit-identical to a local solve (wall-clock
     ``solve_stats`` are carried verbatim; they are measurements, not derived

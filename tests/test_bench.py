@@ -24,7 +24,6 @@ from repro.bench import (
     iter_scenarios,
     load_report,
     register_scenario,
-    report_records,
     run_scenario,
     run_suite,
     scenario_groups,
@@ -60,7 +59,6 @@ class TestRegistry:
             "appB",
             "machinery",
             "anytime",
-            "schedule-ir",
         ]:
             assert expected in groups
 
@@ -273,95 +271,6 @@ class TestRunner:
 
 
 # --------------------------------------------------------------------------- #
-# custom runners & the replay-throughput microbenchmark
-# --------------------------------------------------------------------------- #
-
-
-class TestCustomRunner:
-    def _record_for(self, scenario, tier, wall=0.5):
-        return ScenarioRecord(
-            scenario=scenario.name,
-            group=scenario.group,
-            tier=tier,
-            game=scenario.game,
-            variant=scenario.variant.describe(),
-            solver_requested=scenario.solver,
-            reference=scenario.reference,
-            wall_time_s=wall,
-            expected_ok=True,
-        )
-
-    def test_custom_runner_owns_the_whole_run(self, scratch_registry):
-        calls = []
-
-        def runner(scenario, tier, repeats):
-            calls.append((scenario.name, tier, repeats))
-            return self._record_for(scenario, tier)
-
-        scratch_registry(_tiny_scenario("test-custom", custom_runner=runner))
-        record = run_scenario("test-custom", tier="quick", repeats=7)
-        assert calls == [("test-custom", "quick", 7)]
-        assert record.ok and record.wall_time_s == 0.5
-
-    def test_custom_runner_exception_becomes_error_record(self, scratch_registry):
-        def runner(scenario, tier, repeats):
-            raise RuntimeError("bench exploded")
-
-        scratch_registry(_tiny_scenario("test-custom-broken", custom_runner=runner))
-        record = run_scenario("test-custom-broken", tier="quick")
-        assert record.error is not None and "bench exploded" in record.error
-        assert not record.ok
-
-    def test_custom_runner_bad_return_becomes_error_record(self, scratch_registry):
-        scratch_registry(
-            _tiny_scenario("test-custom-bad-return", custom_runner=lambda s, t, n: 42)
-        )
-        record = run_scenario("test-custom-bad-return", tier="quick")
-        assert record.error is not None and "ScenarioRecord" in record.error
-
-    def test_parallel_suite_routes_custom_scenarios_in_order(self, scratch_registry):
-        scratch_registry(
-            _tiny_scenario(
-                "test-custom-parallel",
-                custom_runner=lambda s, t, n: self._record_for(s, t, wall=0.25),
-            )
-        )
-        names = ["fig1-appA1-prbp", "test-custom-parallel", "zipper-prbp"]
-        records = run_suite(tier="quick", names=names, jobs=2)
-        assert [rec.scenario for rec in records] == names
-        assert records[1].wall_time_s == 0.25 and all(rec.ok for rec in records)
-
-
-class TestReplayScenarios:
-    def test_replay_scenarios_are_registered_with_custom_runners(self):
-        for name in ("replay-throughput", "replay-throughput-prbp-scalar"):
-            scenario = get_scenario(name)
-            assert scenario.group == "schedule-ir"
-            assert scenario.custom_runner is not None
-            assert "min_speedup" in scenario.solve_options
-
-    def test_replay_record_reports_throughput_and_speedup(self):
-        # the smaller PRBP workload keeps the test cheap; the >= 10x RBP gate
-        # itself is exercised by the bench-smoke --compare run, not here
-        # (asserting a hard speedup in a shared-CI sandbox would be flaky)
-        record = run_scenario("replay-throughput-prbp-scalar", tier="quick", repeats=1)
-        assert record.error is None
-        assert record.replay_speedup is not None and record.replay_speedup > 1.0
-        assert record.replay_schedules_per_s and record.replay_schedules_per_s > 0
-        assert record.replay_engine_schedules_per_s and record.replay_engine_schedules_per_s > 0
-        assert record.io_cost and record.io_cost > 0
-        assert record.moves and record.moves > 0
-        assert record.solver_used == "replay-kernel"
-        doc = record.to_dict()
-        for key in (
-            "replay_speedup",
-            "replay_schedules_per_s",
-            "replay_engine_schedules_per_s",
-        ):
-            assert key in doc
-
-
-# --------------------------------------------------------------------------- #
 # report: schema round-trip
 # --------------------------------------------------------------------------- #
 
@@ -411,35 +320,20 @@ class TestReport:
             load_report(path)
 
     def test_load_rejects_wrong_version(self, tmp_path):
-        path = tmp_path / "vnext.json"
-        path.write_text(
-            json.dumps({"schema": SCHEMA_NAME, "schema_version": 99, "scenarios": []})
-        )
-        with pytest.raises(ValueError, match="schema_version"):
-            load_report(path)
+        # older layouts are refused too: only the current version is read
+        path = tmp_path / "other-version.json"
+        for version in (1, 2, 3, 99):
+            path.write_text(
+                json.dumps({"schema": SCHEMA_NAME, "schema_version": version, "scenarios": []})
+            )
+            with pytest.raises(ValueError, match="schema_version"):
+                load_report(path)
 
     def test_load_rejects_missing_scenarios(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"schema": SCHEMA_NAME, "schema_version": SCHEMA_VERSION}))
         with pytest.raises(ValueError, match="scenarios"):
             load_report(path)
-
-    def test_load_accepts_version_1_baselines(self, tmp_path):
-        # schema 2 added the refine_* fields; v1 documents (which lack them)
-        # must stay loadable so --compare can gate against older baselines
-        path = tmp_path / "v1.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": SCHEMA_NAME,
-                    "schema_version": 1,
-                    "scenarios": [{"scenario": "a", "tier": "quick", "io_cost": 5}],
-                }
-            )
-        )
-        doc = load_report(path)
-        assert doc["schema_version"] == 1
-        assert report_records(doc)[0].get("refine_initial_cost") is None
 
     def test_records_carry_refinement_trajectory_fields(self):
         # a scenario whose auto dispatch lands on greedy + refinement
@@ -456,17 +350,6 @@ class TestReport:
             "refine_time_to_best_s",
         ):
             assert key in doc
-
-    def test_comparator_tolerates_v1_baseline_against_v2_run(self):
-        baseline = {
-            "schema": SCHEMA_NAME,
-            "schema_version": 1,
-            "scenarios": [_rec("a", cost=10)],
-        }
-        current = _doc([dict(_rec("a", cost=8), refine_initial_cost=10, refine_steps=96)])
-        result = compare_reports(current, baseline)
-        assert result.ok
-        assert any("fell" in note for note in result.improvements)
 
 
 # --------------------------------------------------------------------------- #

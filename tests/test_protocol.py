@@ -382,12 +382,14 @@ class TestObservabilityWire:
         doc.update(overrides)
         return doc
 
-    def test_v3_stamped_requests_are_still_accepted(self):
-        # a v3 peer never sends trace/metrics, but its frames must validate
-        assert validate_request({"v": 3, "op": "ping", "id": "r1"})["op"] == "ping"
+    def test_v3_stamped_requests_are_refused(self):
+        # every node speaks v4; a v3 frame is refused, not read leniently
+        with pytest.raises(ProtocolError, match="version"):
+            validate_request({"v": 3, "op": "ping", "id": "r1"})
         doc = self._solve_request()
         doc["v"] = 3
-        assert validate_request(doc)["v"] == 3
+        with pytest.raises(ProtocolError, match="version"):
+            validate_request(doc)
 
     def test_metrics_op_is_a_valid_request(self):
         assert validate_request(make_request("metrics", "r1"))["op"] == "metrics"
@@ -416,11 +418,12 @@ class TestObservabilityWire:
         assert decoded.solve_stats.attempts == attempts
         assert any(a.outcome == "won" for a in decoded.solve_stats.attempts)
 
-    def test_missing_attempts_key_decodes_to_empty_for_v3_peers(self):
+    def test_missing_or_malformed_attempts_are_refused(self):
         problem = PebblingProblem(figure1_gadget(), r=4, game="prbp")
         doc = json.loads(json.dumps(result_to_wire(solve(problem, solver="greedy"))))
         doc["solve_stats"].pop("attempts", None)
-        assert result_from_wire(problem, doc).solve_stats.attempts == ()
+        with pytest.raises(ProtocolError, match="attempts"):
+            result_from_wire(problem, doc)
         doc["solve_stats"]["attempts"] = [{"solver": "greedy"}]  # fields missing
         with pytest.raises(ProtocolError, match="attempt"):
             result_from_wire(problem, doc)

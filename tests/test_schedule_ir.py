@@ -203,42 +203,6 @@ def test_prbp_kernel_matches_engine(schedule):
     assert cost == (outcome.io_cost if outcome.ok else None)
 
 
-@given(st.lists(rbp_case(), min_size=1, max_size=6))
-def test_rbp_batched_kernel_matches_scalar(schedules):
-    irs = [sir.from_schedule(s) for s in schedules]
-    batched = sir.replay_many(irs, vectorized=True)
-    scalar = sir.replay_many(irs, vectorized=False)
-    assert len(batched) == len(scalar) == len(irs)
-    for schedule, vec, scal in zip(schedules, batched, scalar):
-        assert vec.failed_at == scal.failed_at, schedule.moves
-        assert vec.io_cost == scal.io_cost, schedule.moves
-        assert vec.compute_cost_total == pytest.approx(scal.compute_cost_total)
-        assert vec.peak_red == scal.peak_red, schedule.moves
-        assert vec.legal == scal.legal and vec.terminal == scal.terminal
-        np.testing.assert_array_equal(vec.red, scal.red)
-        np.testing.assert_array_equal(vec.blue, scal.blue)
-        np.testing.assert_array_equal(vec.computed, scal.computed)
-
-
-@given(st.lists(rbp_case() | prbp_case(), min_size=0, max_size=5))
-def test_replay_many_mixed_order_and_masks_off(schedules):
-    irs = [sir.from_schedule(s) for s in schedules]
-    full = sir.replay_many(irs)
-    lean = sir.replay_many(irs, masks=False)
-    assert len(full) == len(lean) == len(irs)
-    for ir, f, le in zip(irs, full, lean):
-        assert (f.failed_at, f.io_cost, f.peak_red, f.legal, f.terminal) == (
-            le.failed_at,
-            le.io_cost,
-            le.peak_red,
-            le.legal,
-            le.terminal,
-        )
-        if ir.game == "rbp" and le.red is None:
-            # the batch kernel skipped mask reconstruction as asked
-            assert le.blue is None and le.computed is None
-
-
 @given(rbp_case() | prbp_case())
 def test_kernel_stats_matches_schedule_stats(schedule):
     ir = sir.from_schedule(schedule)
@@ -401,10 +365,6 @@ def test_empty_schedule_round_trips_and_replays():
         assert outcome.legal and not outcome.terminal
         assert outcome.io_cost == 0 and outcome.peak_red == 0
         assert sir.to_schedule(ir).moves == []
-    # the batched path hits its own empty-batch short-circuit
-    irs = [sir.from_schedule(RBPSchedule(dag, 2, []))] * 3
-    for outcome in sir.replay_many(irs, vectorized=True):
-        assert outcome.legal and not outcome.terminal and outcome.io_cost == 0
 
 
 def test_prbp_sliding_ir_rejected_like_engine():
@@ -423,8 +383,6 @@ def test_prbp_sliding_ir_rejected_like_engine():
     )
     with pytest.raises(ValueError):
         sir.replay(ir)
-    with pytest.raises(ValueError):
-        sir.replay_many([ir])
 
 
 def test_out_of_range_nodes_unrepresentable_at_encode():

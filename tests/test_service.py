@@ -720,37 +720,6 @@ class TestCommandLine:
         assert main(["ping", "--port", str(port)]) == 1
         assert "no service is listening" in capsys.readouterr().err
 
-    def test_service_bench_cli_runs_and_reports(self, capsys, tmp_path):
-        import json
-
-        from repro.bench.service_bench import main
-
-        out_path = tmp_path / "SERVICE_BENCH.json"
-        assert (
-            main(
-                [
-                    "--clients",
-                    "2",
-                    "--no-processes",
-                    "--scenario",
-                    "tree-prbp-critical",
-                    "--scenario",
-                    "chained-prbp-constant",
-                    "--output",
-                    str(out_path),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "cold:" in out and "warm:" in out
-        doc = json.loads(out_path.read_text())
-        assert doc["schema"] == "repro-prbp-service-bench"
-        assert doc["phases"]["warm"]["cache_hits"] == doc["phases"]["warm"]["requests"]
-        warm_latency = doc["phases"]["warm"]["latency_s"]
-        assert warm_latency["p99"] >= warm_latency["p50"]
-        assert doc["server"]["admitted"] == 2
-
 
 class TestCacheProbe:
     """cache_only solves: answer from the shared cache or fail typed, never solve."""
