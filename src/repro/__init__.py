@@ -52,6 +52,7 @@ from .api import (
     SolveResult,
     Solver,
     SolverInfo,
+    SolverRun,
     best_lower_bound,
     get_solver,
     list_solvers,
@@ -117,6 +118,7 @@ __all__ = [
     "SolveResult",
     "Solver",
     "SolverInfo",
+    "SolverRun",
     "solve",
     "register_solver",
     "get_solver",

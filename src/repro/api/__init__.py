@@ -47,7 +47,7 @@ from .registry import (
     solver_names,
     unregister_solver,
 )
-from .result import Schedule, SolveAttempt, SolveResult, SolveStats
+from .result import Schedule, SolveAttempt, SolveResult, SolverRun, SolveStats
 
 # importing the adapters registers every built-in solver
 from . import adapters as _adapters  # noqa: F401  (import for side effect)
@@ -58,6 +58,7 @@ __all__ = [
     "SolveResult",
     "SolveAttempt",
     "SolveStats",
+    "SolverRun",
     "Schedule",
     "solve",
     "solve_many",

@@ -43,16 +43,12 @@ from ..solvers.anytime import (
     schedule_io_count,
 )
 from ..solvers.baselines import naive_prbp_schedule, naive_rbp_schedule
-from ..solvers.exhaustive import (
-    DEFAULT_MAX_STATES,
-    optimal_prbp_schedule,
-    optimal_rbp_schedule,
-)
+from ..solvers.exhaustive import DEFAULT_MAX_STATES, exhaustive_search
 from ..solvers.greedy import greedy_rbp_schedule, topological_prbp_schedule
 from ..solvers import structured
 from .problem import PebblingProblem
 from .registry import list_solvers, register_solver
-from .result import Schedule
+from .result import SolverRun
 
 __all__: list = []
 
@@ -68,15 +64,16 @@ __all__: list = []
     exact=True,
     description="optimal A* search over game configurations (small DAGs)",
 )
-def _exhaustive(problem: PebblingProblem, **options: object) -> Schedule:
+def _exhaustive(problem: PebblingProblem, **options: object) -> SolverRun:
     budget = options.get("budget")
     max_states = int(budget) if budget is not None else DEFAULT_MAX_STATES
-    if problem.game == "rbp":
-        return optimal_rbp_schedule(
-            problem.dag, problem.r, variant=problem.variant, max_states=max_states
-        )
-    return optimal_prbp_schedule(
-        problem.dag, problem.r, variant=problem.variant, max_states=max_states
+    schedule, telemetry = exhaustive_search(
+        problem.dag, problem.r, problem.game, variant=problem.variant, max_states=max_states
+    )
+    return SolverRun(
+        schedule,
+        states_expanded=telemetry.expanded,
+        states_frontier_peak=telemetry.frontier_peak,
     )
 
 
@@ -85,10 +82,10 @@ def _exhaustive(problem: PebblingProblem, **options: object) -> Schedule:
     games=("rbp", "prbp"),
     description="topological processing with Belady eviction (any DAG)",
 )
-def _greedy(problem: PebblingProblem, **options: object) -> Schedule:
+def _greedy(problem: PebblingProblem, **options: object) -> SolverRun:
     if problem.game == "rbp":
-        return greedy_rbp_schedule(problem.dag, problem.r, variant=problem.variant)
-    return topological_prbp_schedule(problem.dag, problem.r, variant=problem.variant)
+        return SolverRun(greedy_rbp_schedule(problem.dag, problem.r, variant=problem.variant))
+    return SolverRun(topological_prbp_schedule(problem.dag, problem.r, variant=problem.variant))
 
 
 @register_solver(
@@ -96,10 +93,10 @@ def _greedy(problem: PebblingProblem, **options: object) -> Schedule:
     games=("rbp", "prbp"),
     description="spill-everything baseline (worst reasonable upper bound)",
 )
-def _naive(problem: PebblingProblem, **options: object) -> Schedule:
+def _naive(problem: PebblingProblem, **options: object) -> SolverRun:
     if problem.game == "rbp":
-        return naive_rbp_schedule(problem.dag, problem.r, variant=problem.variant)
-    return naive_prbp_schedule(problem.dag, problem.r, variant=problem.variant)
+        return SolverRun(naive_rbp_schedule(problem.dag, problem.r, variant=problem.variant))
+    return SolverRun(naive_prbp_schedule(problem.dag, problem.r, variant=problem.variant))
 
 
 def _anytime_min_r(problem: PebblingProblem) -> int:
@@ -116,7 +113,7 @@ def _anytime_min_r(problem: PebblingProblem) -> int:
     description="budgeted local-search refinement over greedy/structured/beam seeds",
     min_r=_anytime_min_r,
 )
-def _anytime(problem: PebblingProblem, **options: object) -> Schedule:
+def _anytime(problem: PebblingProblem, **options: object) -> SolverRun:
     """Anytime portfolio: seed with the cheapest known schedule, then refine.
 
     Seeds are gathered from every family-matched structured solver plus the
@@ -135,7 +132,7 @@ def _anytime(problem: PebblingProblem, **options: object) -> Schedule:
         if not info.families or not info.supports(problem):
             continue
         try:
-            schedule = info.fn(problem)
+            schedule = info.fn(problem).schedule
         except SolverError as exc:
             failures.append((info.name, str(exc)))
             continue
@@ -180,7 +177,7 @@ def _anytime(problem: PebblingProblem, **options: object) -> Schedule:
     steps = options.get("refine_steps", options.get("budget"))
     time_budget_s = options.get("time_budget_s")
     on_progress = options.get("on_progress")
-    refined, _trajectory = refine_schedule(
+    refined, trajectory = refine_schedule(
         best,
         steps=None if steps is None else int(steps),
         time_budget_s=None if time_budget_s is None else float(time_budget_s),
@@ -188,7 +185,7 @@ def _anytime(problem: PebblingProblem, **options: object) -> Schedule:
         origin=origin,
         on_improve=on_progress if callable(on_progress) else None,
     )
-    return refined
+    return SolverRun(refined, refinement=trajectory)
 
 
 # --------------------------------------------------------------------------- #
@@ -245,14 +242,14 @@ def _rebuild(problem: PebblingProblem, builder: Callable, *args: object):
     description="Appendix A.1 hand strategy for the Figure 1 gadget (Prop. 4.2)",
     min_r=lambda p: structured.FIGURE1_MIN_R,
 )
-def _figure1(problem: PebblingProblem, **options: object) -> Schedule:
+def _figure1(problem: PebblingProblem, **options: object) -> SolverRun:
     fam = _family_tag(problem, "figure1")
     if not fam.param("include_endpoints") or fam.param("with_z_layer") or fam.param("with_w0"):
         raise SolverError("the A.1 strategy targets the plain Figure 1 DAG with endpoints")
     inst = _rebuild(problem, figure1_instance, True)
     if problem.game == "rbp":
-        return structured.figure1_rbp_schedule(inst, r=problem.r)
-    return structured.figure1_prbp_schedule(inst, r=problem.r)
+        return SolverRun(structured.figure1_rbp_schedule(inst, r=problem.r))
+    return SolverRun(structured.figure1_prbp_schedule(inst, r=problem.r))
 
 
 @register_solver(
@@ -262,10 +259,10 @@ def _figure1(problem: PebblingProblem, **options: object) -> Schedule:
     description="Proposition 4.7 chain strategy: PRBP cost 2 at any length",
     min_r=lambda p: structured.CHAINED_GADGET_MIN_R,
 )
-def _chained_gadget(problem: PebblingProblem, **options: object) -> Schedule:
+def _chained_gadget(problem: PebblingProblem, **options: object) -> SolverRun:
     fam = _family_tag(problem, "chained_gadget")
     inst = _rebuild(problem, chained_gadget_instance, fam.param("copies"))
-    return structured.chained_gadget_prbp_schedule(inst, r=problem.r)
+    return SolverRun(structured.chained_gadget_prbp_schedule(inst, r=problem.r))
 
 
 @register_solver(
@@ -275,10 +272,10 @@ def _chained_gadget(problem: PebblingProblem, **options: object) -> Schedule:
     description="Proposition 4.3 column-streaming strategy: trivial cost m²+2m",
     min_r=lambda p: structured.matvec_min_r(p.family.param("m")),
 )
-def _matvec(problem: PebblingProblem, **options: object) -> Schedule:
+def _matvec(problem: PebblingProblem, **options: object) -> SolverRun:
     fam = _family_tag(problem, "matvec")
     inst = _rebuild(problem, matvec_instance, fam.param("m"))
-    return structured.matvec_prbp_schedule(inst, r=problem.r)
+    return SolverRun(structured.matvec_prbp_schedule(inst, r=problem.r))
 
 
 @register_solver(
@@ -288,12 +285,12 @@ def _matvec(problem: PebblingProblem, **options: object) -> Schedule:
     description="Proposition 4.4 zipper strategies (two-phase PRBP / alternating RBP)",
     min_r=lambda p: structured.zipper_min_r(p.family.param("d")),
 )
-def _zipper(problem: PebblingProblem, **options: object) -> Schedule:
+def _zipper(problem: PebblingProblem, **options: object) -> SolverRun:
     fam = _family_tag(problem, "zipper")
     inst = _rebuild(problem, zipper_instance, fam.param("d"), fam.param("length"))
     if problem.game == "rbp":
-        return structured.zipper_rbp_schedule(inst, r=problem.r)
-    return structured.zipper_prbp_schedule(inst, r=problem.r)
+        return SolverRun(structured.zipper_rbp_schedule(inst, r=problem.r))
+    return SolverRun(structured.zipper_prbp_schedule(inst, r=problem.r))
 
 
 @register_solver(
@@ -303,12 +300,12 @@ def _zipper(problem: PebblingProblem, **options: object) -> Schedule:
     description="Appendix A.2 k-ary reduction-tree strategies (optimal at r = k + 1)",
     min_r=lambda p: structured.tree_min_r(p.family.param("k")),
 )
-def _tree(problem: PebblingProblem, **options: object) -> Schedule:
+def _tree(problem: PebblingProblem, **options: object) -> SolverRun:
     fam = _family_tag(problem, "kary_tree")
     inst = _rebuild(problem, kary_tree_instance, fam.param("k"), fam.param("depth"))
     if problem.game == "rbp":
-        return structured.tree_rbp_schedule(inst, r=problem.r)
-    return structured.tree_prbp_schedule(inst, r=problem.r)
+        return SolverRun(structured.tree_rbp_schedule(inst, r=problem.r))
+    return SolverRun(structured.tree_prbp_schedule(inst, r=problem.r))
 
 
 @register_solver(
@@ -318,12 +315,12 @@ def _tree(problem: PebblingProblem, **options: object) -> Schedule:
     description="Proposition 4.6 full-pebble strategy for the collection gadget",
     min_r=lambda p: structured.collection_min_r(p.family.param("d")),
 )
-def _collection(problem: PebblingProblem, **options: object) -> Schedule:
+def _collection(problem: PebblingProblem, **options: object) -> SolverRun:
     fam = _family_tag(problem, "pebble_collection")
     inst = _rebuild(problem, pebble_collection_instance, fam.param("d"), fam.param("length"))
     if problem.game == "rbp":
-        return structured.collection_full_rbp_schedule(inst, r=problem.r)
-    return structured.collection_full_prbp_schedule(inst, r=problem.r)
+        return SolverRun(structured.collection_full_rbp_schedule(inst, r=problem.r))
+    return SolverRun(structured.collection_full_prbp_schedule(inst, r=problem.r))
 
 
 @register_solver(
@@ -333,10 +330,10 @@ def _collection(problem: PebblingProblem, **options: object) -> Schedule:
     description="Lemma 5.4 group-streaming strategy: trivial cost with 3 pebbles",
     min_r=lambda p: structured.FANIN_MIN_R,
 )
-def _fanin(problem: PebblingProblem, **options: object) -> Schedule:
+def _fanin(problem: PebblingProblem, **options: object) -> SolverRun:
     fam = _family_tag(problem, "fanin_groups")
     inst = _rebuild(problem, fanin_groups_instance, fam.param("num_groups"), fam.param("group_size"))
-    return structured.fanin_groups_prbp_schedule(inst, r=problem.r)
+    return SolverRun(structured.fanin_groups_prbp_schedule(inst, r=problem.r))
 
 
 @register_solver(
@@ -346,12 +343,12 @@ def _fanin(problem: PebblingProblem, **options: object) -> Schedule:
     description="Theorem 6.9 blocked butterfly strategy: O(m·log m / log r) I/O",
     min_r=lambda p: structured.FFT_MIN_R,
 )
-def _fft(problem: PebblingProblem, **options: object) -> Schedule:
+def _fft(problem: PebblingProblem, **options: object) -> SolverRun:
     fam = _family_tag(problem, "fft")
     inst = _rebuild(problem, fft_instance, fam.param("m"))
     if problem.game == "rbp":
-        return structured.fft_blocked_rbp_schedule(inst, r=problem.r)
-    return structured.fft_blocked_prbp_schedule(inst, r=problem.r)
+        return SolverRun(structured.fft_blocked_rbp_schedule(inst, r=problem.r))
+    return SolverRun(structured.fft_blocked_prbp_schedule(inst, r=problem.r))
 
 
 @register_solver(
@@ -361,10 +358,10 @@ def _fft(problem: PebblingProblem, **options: object) -> Schedule:
     description="Theorem 6.10 outer-product tiled strategy: O(m1·m2·m3/√r) I/O",
     min_r=lambda p: structured.MATMUL_MIN_R,
 )
-def _matmul(problem: PebblingProblem, **options: object) -> Schedule:
+def _matmul(problem: PebblingProblem, **options: object) -> SolverRun:
     fam = _family_tag(problem, "matmul")
     inst = _rebuild(problem, matmul_instance, fam.param("m1"), fam.param("m2"), fam.param("m3"))
-    return structured.matmul_tiled_prbp_schedule(inst, r=problem.r)
+    return SolverRun(structured.matmul_tiled_prbp_schedule(inst, r=problem.r))
 
 
 @register_solver(
@@ -374,9 +371,9 @@ def _matmul(problem: PebblingProblem, **options: object) -> Schedule:
     description="Theorem 6.11 flash-style tiled strategy for Q·Kᵀ + exp",
     min_r=lambda p: structured.attention_min_r(p.family.param("d")),
 )
-def _attention(problem: PebblingProblem, **options: object) -> Schedule:
+def _attention(problem: PebblingProblem, **options: object) -> SolverRun:
     fam = _family_tag(problem, "attention")
     if fam.param("include_softmax"):
         raise SolverError("the flash-style strategy targets the truncated attention DAG")
     inst = _rebuild(problem, attention_instance, fam.param("m"), fam.param("d"))
-    return structured.attention_flash_prbp_schedule(inst, r=problem.r)
+    return SolverRun(structured.attention_flash_prbp_schedule(inst, r=problem.r))

@@ -30,6 +30,14 @@ A step that raises :class:`~repro.core.exceptions.SolverError` falls through
 to the next; if every step fails, :func:`solve` raises a ``SolverError``
 whose message lists what was attempted and why each attempt failed.
 
+Every registered solver returns a :class:`~repro.api.result.SolverRun`: the
+schedule together with the solver's own report (the A* counters of the
+exhaustive search, the trajectory of the ``"anytime"`` solver).  The report
+reaches ``SolveResult.solve_stats`` only through that return value, so a
+solve never picks up counters from another solve, thread or process.  The
+auto portfolio additionally records one
+:class:`~repro.api.result.SolveAttempt` per member it tried.
+
 Whatever heuristic schedule the portfolio settles on is handed to a final
 **anytime refinement pass** (:mod:`repro.solvers.anytime`): a budgeted,
 seeded local search that can only ever lower the achieved cost.  The pass is
@@ -44,17 +52,16 @@ parameter), ``refine_steps``, ``time_budget_s`` and ``refine=False``
 from __future__ import annotations
 
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import List, Optional, Tuple
 
 from ..core.exceptions import SolverError
 from ..obs.tracing import get_tracer
-from ..solvers.anytime import last_refinement_trajectory, refine_schedule
-from ..solvers.exhaustive import last_search_telemetry
+from ..solvers.anytime import refine_schedule
 from .bounds import best_lower_bound
 from .problem import PebblingProblem
 from .registry import SolverInfo, get_solver, list_solvers
-from .result import Schedule, SolveAttempt, SolveResult, SolveStats
+from .result import SolveAttempt, SolveResult, SolverRun, SolveStats
 
 __all__ = [
     "solve",
@@ -88,23 +95,16 @@ def _run(
 
     ``bound`` is the problem's precomputed ``best_lower_bound`` pair — it
     depends only on the problem, so callers compute it once per solve rather
-    than once per portfolio attempt.
+    than once per portfolio attempt.  This is the one place a
+    :class:`SolveStats` is built; later stages adjust it with ``replace``.
     """
-    telemetry_before = last_search_telemetry()
-    trajectory_before = last_refinement_trajectory()
     start = time.perf_counter()
-    schedule: Schedule = info.fn(problem, **options)
-    stats = schedule.stats()  # replays through the engine; raises on an illegal schedule
+    run: SolverRun = info.fn(problem, **options)
+    stats = run.schedule.stats()  # replays through the engine; raises on an illegal schedule
     wall_time = time.perf_counter() - start
-    telemetry = last_search_telemetry()
-    if telemetry is telemetry_before:
-        telemetry = None  # this solver never entered the A* search
-    trajectory = last_refinement_trajectory()
-    if trajectory is trajectory_before:
-        trajectory = None  # this solver never entered the refinement engine
     return SolveResult(
         problem=problem,
-        schedule=schedule,
+        schedule=run.schedule,
         stats=stats,
         solver=info.name,
         exact_solver=info.exact,
@@ -112,9 +112,9 @@ def _run(
         lower_bound_source=bound[1],
         solve_stats=SolveStats(
             wall_time_s=wall_time,
-            states_expanded=telemetry.expanded if telemetry else None,
-            states_frontier_peak=telemetry.frontier_peak if telemetry else None,
-            refinement=trajectory,
+            states_expanded=run.states_expanded,
+            states_frontier_peak=run.states_frontier_peak,
+            refinement=run.refinement,
         ),
     )
 
@@ -151,11 +151,9 @@ def _apply_refinement(result: SolveResult, **options: object) -> SolveResult:
     )
     extra = time.perf_counter() - start
 
-    old = result.solve_stats
-    solve_stats = SolveStats(
-        wall_time_s=(old.wall_time_s if old is not None else 0.0) + extra,
-        states_expanded=old.states_expanded if old is not None else None,
-        states_frontier_peak=old.states_frontier_peak if old is not None else None,
+    solve_stats = replace(
+        result.solve_stats,
+        wall_time_s=result.solve_stats.wall_time_s + extra,
         refinement=trajectory,
     )
     if trajectory.refined_cost < trajectory.initial_cost:
@@ -175,118 +173,68 @@ def _family_candidates(problem: PebblingProblem) -> List[SolverInfo]:
     ]
 
 
-def _finalize_auto(
-    result: SolveResult,
-    timings: List[List[object]],
-    started: float,
-) -> SolveResult:
-    """Stamp the total portfolio wall time and per-attempt breakdown.
-
-    ``timings`` entries are mutable ``[solver, wall_s, outcome]`` triples;
-    the entry whose solver produced the returned schedule is marked
-    ``"won"`` and surviving ``"candidate"`` entries become ``"lost"``.
-    """
-    won = False
-    for entry in timings:
-        if entry[2] == "candidate" and entry[0] == result.solver and not won:
-            entry[2] = "won"
-            won = True
-        elif entry[2] == "candidate":
-            entry[2] = "lost"
-    attempts = tuple(
-        SolveAttempt(solver=str(s), wall_time_s=float(w), outcome=str(o))
-        for s, w, o in timings
-    )
-    old = result.solve_stats
-    solve_stats = SolveStats(
-        wall_time_s=time.perf_counter() - started,
-        states_expanded=old.states_expanded if old is not None else None,
-        states_frontier_peak=old.states_frontier_peak if old is not None else None,
-        refinement=old.refinement if old is not None else None,
-        attempts=attempts,
-    )
-    return replace(result, solve_stats=solve_stats)
-
-
 def _auto(
     problem: PebblingProblem,
     budget: Optional[int],
     exact_node_limit: int,
     **options: object,
 ) -> SolveResult:
-    attempts: List[Tuple[str, str]] = []
-    # [solver, wall_s, outcome] triples; "candidate" entries are resolved to
-    # won/lost once the portfolio settles on a schedule.
-    timings: List[List[object]] = []
+    # One (solver, wall_s, outcome, reason) entry per portfolio member; the
+    # "candidate" outcomes become won/lost once the portfolio settles.
+    attempts: List[Tuple[str, float, str, str]] = []
     started = time.perf_counter()
     bound = best_lower_bound(problem)
 
+    def attempt(info: SolverInfo, **extra: object) -> Optional[SolveResult]:
+        attempt_start = time.perf_counter()
+        try:
+            result = _run(info, problem, bound, **extra, **options)
+        except SolverError as exc:
+            attempts.append((info.name, time.perf_counter() - attempt_start, "failed", str(exc)))
+            return None
+        attempts.append((info.name, time.perf_counter() - attempt_start, "candidate", ""))
+        return result
+
     # 1. exhaustive optimum on small instances
+    chosen: Optional[SolveResult] = None
     if problem.n <= exact_node_limit:
-        info = get_solver("exhaustive")
-        attempt_start = time.perf_counter()
-        try:
-            exact_budget = DEFAULT_AUTO_BUDGET if budget is None else budget
-            result = _run(info, problem, bound, budget=exact_budget, **options)
-            timings.append(["exhaustive", time.perf_counter() - attempt_start, "candidate"])
-            return _finalize_auto(result, timings, started)
-        except SolverError as exc:
-            attempts.append(("exhaustive", str(exc)))
-            timings.append(["exhaustive", time.perf_counter() - attempt_start, "failed"])
+        exact_budget = DEFAULT_AUTO_BUDGET if budget is None else budget
+        chosen = attempt(get_solver("exhaustive"), budget=exact_budget)
     else:
-        attempts.append(
-            ("exhaustive", f"skipped: n = {problem.n} > exact_node_limit = {exact_node_limit}")
-        )
-        timings.append(["exhaustive", 0.0, "skipped"])
+        skip = f"skipped: n = {problem.n} > exact_node_limit = {exact_node_limit}"
+        attempts.append(("exhaustive", 0.0, "skipped", skip))
 
-    # 2. family-matched structured strategy
-    structured_result: Optional[SolveResult] = None
-    for info in _family_candidates(problem):
-        attempt_start = time.perf_counter()
-        try:
-            structured_result = _run(info, problem, bound, **options)
-            timings.append([info.name, time.perf_counter() - attempt_start, "candidate"])
-            break
-        except SolverError as exc:
-            attempts.append((info.name, str(exc)))
-            timings.append([info.name, time.perf_counter() - attempt_start, "failed"])
-    if structured_result is not None and (
-        structured_result.optimal or problem.n > GREEDY_COMPARISON_NODE_LIMIT
-    ):
-        return _finalize_auto(
-            _apply_refinement(structured_result, **options), timings, started
-        )
+    if chosen is None:
+        # 2. family-matched structured strategy
+        for info in _family_candidates(problem):
+            chosen = attempt(info)
+            if chosen is not None:
+                break
+        # 3. greedy — the fallback, and the sanity comparison for a structured
+        # strategy used away from its critical capacity regime
+        if chosen is None or not (chosen.optimal or problem.n > GREEDY_COMPARISON_NODE_LIMIT):
+            greedy = attempt(get_solver("greedy"))
+            if greedy is not None and (chosen is None or greedy.cost < chosen.cost):
+                chosen = greedy
+        if chosen is None:
+            detail = "; ".join(f"{name}: {reason}" for name, _, _, reason in attempts)
+            raise SolverError(f"no solver could handle {problem.describe()} — {detail}")
+        # 4. whichever heuristic schedule won gets the anytime improvement pass
+        chosen = _apply_refinement(chosen, **options)
 
-    # 3. greedy — the fallback, and the sanity comparison for a structured
-    # strategy used away from its critical capacity regime
-    attempt_start = time.perf_counter()
-    try:
-        greedy_result = _run(get_solver("greedy"), problem, bound, **options)
-        timings.append(["greedy", time.perf_counter() - attempt_start, "candidate"])
-    except SolverError as exc:
-        attempts.append(("greedy", str(exc)))
-        timings.append(["greedy", time.perf_counter() - attempt_start, "failed"])
-        greedy_result = None
-
-    # 4. whichever heuristic schedule won gets the anytime improvement pass
-    if structured_result is not None and greedy_result is not None:
-        chosen = (
-            structured_result
-            if structured_result.cost <= greedy_result.cost
-            else greedy_result
-        )
-        return _finalize_auto(_apply_refinement(chosen, **options), timings, started)
-    if structured_result is not None:
-        return _finalize_auto(
-            _apply_refinement(structured_result, **options), timings, started
-        )
-    if greedy_result is not None:
-        return _finalize_auto(
-            _apply_refinement(greedy_result, **options), timings, started
-        )
-
-    detail = "; ".join(f"{name}: {reason}" for name, reason in attempts)
-    raise SolverError(f"no solver could handle {problem.describe()} — {detail}")
+    won = False
+    report = []
+    for name, wall_s, outcome, _ in attempts:
+        if outcome == "candidate":
+            outcome = "won" if name == chosen.solver and not won else "lost"
+            won = won or outcome == "won"
+        report.append(SolveAttempt(solver=name, wall_time_s=wall_s, outcome=outcome))
+    solve_stats = replace(
+        chosen.solve_stats,
+        wall_time_s=time.perf_counter() - started,
+        attempts=tuple(report),
+    )
+    return replace(chosen, solve_stats=solve_stats)
 
 
 def solve(
@@ -420,7 +368,7 @@ def _record_solve_telemetry(
     This is the data ROADMAP item 5 (telemetry-driven portfolio) trains
     on: instance digest + features, requested/used solver, scalar options,
     cost, bound gap, wall time, states expanded, per-attempt portfolio
-    timings.  Failures are counted, never raised.
+    wall times.  Failures are counted, never raised.
     """
     global _telemetry_failures
     try:
@@ -431,10 +379,6 @@ def _record_solve_telemetry(
         from .cache import problem_digest
 
         stats = result.solve_stats
-        attempts = [
-            {"solver": a.solver, "wall_time_s": a.wall_time_s, "outcome": a.outcome}
-            for a in (getattr(stats, "attempts", ()) or ())
-        ]
         get_telemetry_log().record(
             SolveTelemetry(
                 digest=problem_digest(problem),
@@ -443,15 +387,15 @@ def _record_solve_telemetry(
                 cost=result.cost,
                 lower_bound=result.lower_bound,
                 gap=result.gap,
-                wall_time_s=stats.wall_time_s if stats is not None else 0.0,
-                states_expanded=stats.states_expanded if stats is not None else None,
+                wall_time_s=stats.wall_time_s,
+                states_expanded=stats.states_expanded,
                 options={
                     key: value
                     for key, value in options.items()
                     if isinstance(value, _SCALAR_TYPES)
                 },
                 features=extract_features(problem).as_dict(),
-                attempts=attempts,
+                attempts=[asdict(a) for a in stats.attempts],
                 trace_id=trace_id,
                 ts=time.time(),
             )

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..core.exceptions import SolverError
 from .problem import GAMES, PebblingProblem
-from .result import Schedule
+from .result import SolverRun
 
 __all__ = [
     "Solver",
@@ -37,16 +37,19 @@ __all__ = [
 
 
 class Solver(Protocol):
-    """A solver maps a problem to a validated schedule.
+    """A solver maps a problem to a :class:`~repro.api.result.SolverRun`.
 
-    ``options`` are solver-specific knobs (e.g. ``budget`` for the state cap
-    of the exhaustive search); implementations must ignore options they do
-    not understand.  Raise :class:`~repro.core.exceptions.SolverError` when
-    the instance is unsolvable (infeasible ``r``, budget exceeded, family
+    The run carries the schedule together with the solver's own report
+    (search counters, refinement trajectory), so the dispatch layer reads
+    the report from the return value and nowhere else.  ``options`` are
+    solver-specific knobs (e.g. ``budget`` for the state cap of the
+    exhaustive search); implementations must ignore options they do not
+    understand.  Raise :class:`~repro.core.exceptions.SolverError` when the
+    instance is unsolvable (infeasible ``r``, budget exceeded, family
     mismatch) — never return a wrong-cost schedule.
     """
 
-    def __call__(self, problem: PebblingProblem, **options: object) -> Schedule: ...
+    def __call__(self, problem: PebblingProblem, **options: object) -> SolverRun: ...
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class SolverInfo:
     """Registry entry: the solver callable plus its capability tags."""
 
     name: str
-    fn: Callable[..., Schedule]
+    fn: Callable[..., SolverRun]
     games: Tuple[str, ...]
     exact: bool = False
     families: Tuple[str, ...] = ()
@@ -118,7 +121,7 @@ def register_solver(
     families: Sequence[str] = (),
     description: str = "",
     min_r: Optional[Callable[[PebblingProblem], int]] = None,
-) -> Callable[[Callable[..., Schedule]], Callable[..., Schedule]]:
+) -> Callable[[Callable[..., SolverRun]], Callable[..., SolverRun]]:
     """Decorator registering a solver under ``name`` with capability tags.
 
     Raises
@@ -134,7 +137,7 @@ def register_solver(
     if not games:
         raise ValueError("a solver must support at least one game")
 
-    def decorator(fn: Callable[..., Schedule]) -> Callable[..., Schedule]:
+    def decorator(fn: Callable[..., SolverRun]) -> Callable[..., SolverRun]:
         if name in _REGISTRY:
             raise ValueError(
                 f"a solver named {name!r} is already registered; "

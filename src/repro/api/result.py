@@ -16,10 +16,25 @@ from ..core.strategy import PRBPSchedule, RBPSchedule, ScheduleStats
 from ..solvers.anytime import RefinementTrajectory
 from .problem import PebblingProblem
 
-__all__ = ["SolveResult", "SolveStats", "SolveAttempt", "Schedule"]
+__all__ = ["SolveResult", "SolveStats", "SolveAttempt", "SolverRun", "Schedule"]
 
 #: Either game's schedule type.
 Schedule = Union[RBPSchedule, PRBPSchedule]
+
+
+@dataclass(frozen=True)
+class SolverRun:
+    """What a registered solver returns: its schedule plus its run report.
+
+    The report fields mirror :class:`SolveStats`.  The exhaustive search
+    fills in the A* counters and the ``"anytime"`` solver its refinement
+    trajectory; every other solver leaves them ``None``.
+    """
+
+    schedule: Schedule
+    states_expanded: Optional[int] = None
+    states_frontier_peak: Optional[int] = None
+    refinement: Optional[RefinementTrajectory] = None
 
 
 @dataclass(frozen=True)
@@ -68,9 +83,7 @@ class SolveStats:
         final improvement pass; ``None`` otherwise.
     attempts:
         Per-member timing breakdown of the auto portfolio (see
-        :class:`SolveAttempt`); empty for direct solver calls.  Read with
-        ``getattr(stats, "attempts", ())`` when the stats object may come
-        from a cache entry pickled by an older version.
+        :class:`SolveAttempt`); empty for direct solver calls.
     """
 
     wall_time_s: float

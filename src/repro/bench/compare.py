@@ -8,6 +8,11 @@ Given the current report and a baseline report, flags
 * **I/O-cost regressions** — any achieved cost above the baseline's.  Costs
   are deterministic replays of deterministic schedules, so *any* increase is
   a real algorithmic regression and no threshold applies;
+* **counter regressions** — the solver report's deterministic work counters:
+  any rise in ``states_expanded`` or ``states_frontier_peak`` (like
+  ``io_cost``), and any change at all in ``refine_initial_cost``,
+  ``refine_steps`` or ``refine_accepted``.  Counters that are ``None`` in
+  the baseline are not gated;
 * **new failures** — a scenario that errored or missed its expected cost now
   but was healthy in the baseline;
 * **missing scenarios** — present in the baseline but absent from the
@@ -16,7 +21,7 @@ Given the current report and a baseline report, flags
 Improvements (faster, cheaper) are reported informationally and never fail.
 
 Records are matched by ``(scenario, tier)`` and gated on ``io_cost``,
-``wall_time_s``, ``error`` and ``expected_ok``.
+the report counters above, ``wall_time_s``, ``error`` and ``expected_ok``.
 """
 
 from __future__ import annotations
@@ -34,6 +39,12 @@ DEFAULT_THRESHOLD = 1.25
 #: Wall times below this floor are treated as equal (timer noise).
 DEFAULT_MIN_WALL_TIME_S = 0.02
 
+#: Search counters gated like ``io_cost``: a rise is a regression.
+RISING_COUNTERS = ("states_expanded", "states_frontier_peak")
+
+#: Refinement counters that must match the baseline exactly.
+EXACT_COUNTERS = ("refine_initial_cost", "refine_steps", "refine_accepted")
+
 
 @dataclass(frozen=True)
 class Regression:
@@ -41,7 +52,7 @@ class Regression:
 
     scenario: str
     tier: str
-    kind: str  # "wall-time" | "io-cost" | "failure" | "missing"
+    kind: str  # "wall-time" | "io-cost" | "counter" | "failure" | "missing"
     message: str
     current: Optional[float] = None
     baseline: Optional[float] = None
@@ -150,6 +161,26 @@ def compare_reports(
                 result.improvements.append(
                     f"{name} ({tier}): I/O cost fell from {base_cost} to {cur_cost}"
                 )
+
+        for counter in RISING_COUNTERS + EXACT_COUNTERS:
+            base_val, cur_val = base_rec.get(counter), cur_rec.get(counter)
+            if base_val is None or cur_val == base_val:
+                continue
+            if counter in RISING_COUNTERS and cur_val is not None and cur_val < base_val:
+                result.improvements.append(
+                    f"{name} ({tier}): {counter} fell from {base_val} to {cur_val}"
+                )
+                continue
+            result.regressions.append(
+                Regression(
+                    scenario=name,
+                    tier=tier,
+                    kind="counter",
+                    message=f"{counter} changed from {base_val} to {cur_val}",
+                    current=None if cur_val is None else float(cur_val),
+                    baseline=float(base_val),
+                )
+            )
 
         cur_time, base_time = cur_rec.get("wall_time_s"), base_rec.get("wall_time_s")
         if isinstance(cur_time, (int, float)) and isinstance(base_time, (int, float)):

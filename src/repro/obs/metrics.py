@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 __all__ = [
     "MetricsRegistry",
@@ -345,8 +345,7 @@ class MetricsRegistry:
 
     Each service/router instance owns its own registry so that several
     nodes hosted in one process (tests, ``cluster-smoke``) do not merge
-    their counters.  Library-level metrics that have no owning component
-    use :func:`get_global_registry`.
+    their counters.
     """
 
     def __init__(self) -> None:
@@ -533,20 +532,6 @@ class MetricsRegistry:
                 f for f in self._families.values() if isinstance(f, HistogramFamily)
             ]
         return {h.name: h.merged_summary() for h in sorted(histograms, key=lambda f: f.name)}
-
-
-_GLOBAL_REGISTRY: Optional[MetricsRegistry] = None
-_GLOBAL_LOCK = threading.Lock()
-
-
-def get_global_registry() -> MetricsRegistry:
-    """Process-wide registry for library-level (component-less) metrics."""
-
-    global _GLOBAL_REGISTRY
-    with _GLOBAL_LOCK:
-        if _GLOBAL_REGISTRY is None:
-            _GLOBAL_REGISTRY = MetricsRegistry()
-        return _GLOBAL_REGISTRY
 
 
 def parse_exposition(text: str) -> Dict[str, Dict[str, Any]]:

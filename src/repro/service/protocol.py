@@ -41,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+from dataclasses import asdict
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.canonical import dag_digest
@@ -533,21 +534,6 @@ def _schedule_from_wire(problem: PebblingProblem, doc: object) -> Tuple[Schedule
     return to_schedule(ir), replayed
 
 
-def _trajectory_to_wire(trajectory: Optional[RefinementTrajectory]) -> Optional[Dict[str, object]]:
-    if trajectory is None:
-        return None
-    return {
-        "initial_cost": trajectory.initial_cost,
-        "refined_cost": trajectory.refined_cost,
-        "steps": trajectory.steps,
-        "accepted": trajectory.accepted,
-        "time_to_best_s": trajectory.time_to_best_s,
-        "wall_time_s": trajectory.wall_time_s,
-        "seed": trajectory.seed,
-        "seed_solver": trajectory.seed_solver,
-    }
-
-
 def _trajectory_from_wire(doc: Optional[object]) -> Optional[RefinementTrajectory]:
     if doc is None:
         return None
@@ -590,13 +576,8 @@ def result_to_wire(result: SolveResult) -> Dict[str, object]:
             "wall_time_s": stats.wall_time_s,
             "states_expanded": stats.states_expanded,
             "states_frontier_peak": stats.states_frontier_peak,
-            "refinement": _trajectory_to_wire(stats.refinement),
-            # v4 — getattr so stats objects unpickled from pre-v4 cache
-            # entries still serialize.
-            "attempts": [
-                {"solver": a.solver, "wall_time_s": a.wall_time_s, "outcome": a.outcome}
-                for a in (getattr(stats, "attempts", ()) or ())
-            ],
+            "refinement": None if stats.refinement is None else asdict(stats.refinement),
+            "attempts": [asdict(a) for a in stats.attempts],
         },
     }
 

@@ -76,7 +76,6 @@ __all__ = [
     "RefinementTrajectory",
     "refine_schedule",
     "beam_construct",
-    "last_refinement_trajectory",
     "schedule_io_count",
 ]
 
@@ -148,19 +147,6 @@ class RefinementTrajectory:
     def improvement(self) -> int:
         """I/O operations shaved off the initial schedule."""
         return self.initial_cost - self.refined_cost
-
-
-_LAST_TRAJECTORY: Optional[RefinementTrajectory] = None
-
-
-def last_refinement_trajectory() -> Optional[RefinementTrajectory]:
-    """Trajectory of the most recent refinement run in this process.
-
-    Mirrors :func:`repro.solvers.exhaustive.last_search_telemetry`: the
-    dispatch layer snapshots this before and after a solver run to decide
-    whether the run went through the anytime engine.
-    """
-    return _LAST_TRAJECTORY
 
 
 # --------------------------------------------------------------------------- #
@@ -590,7 +576,6 @@ def refine_schedule(
         The refined schedule — never costlier than the input — and the
         :class:`RefinementTrajectory` describing the run.
     """
-    global _LAST_TRAJECTORY
     game = _game_of(schedule)
     dag, r, variant = schedule.dag, schedule.r, schedule.variant
 
@@ -667,7 +652,7 @@ def refine_schedule(
     if best_cost < initial_cost:
         description = f"anytime refinement of {origin} (seed={seed})"
     refined = _make_schedule(schedule, decode_moves(game, best_rows), description)
-    trajectory = RefinementTrajectory(
+    return refined, RefinementTrajectory(
         initial_cost=initial_cost,
         refined_cost=best_cost,
         steps=budget.steps,
@@ -677,8 +662,6 @@ def refine_schedule(
         seed=seed,
         seed_solver=origin,
     )
-    _LAST_TRAJECTORY = trajectory
-    return refined, trajectory
 
 
 # --------------------------------------------------------------------------- #

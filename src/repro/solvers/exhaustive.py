@@ -70,7 +70,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import count
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..bounds.hongkung import rbp_lower_bound_exact
 from ..bounds.prbp_bounds import (
@@ -94,7 +94,7 @@ __all__ = [
     "ROOT_BOUND_NODE_LIMIT",
     "ROOT_BOUND_EDGE_LIMIT",
     "SearchTelemetry",
-    "last_search_telemetry",
+    "exhaustive_search",
     "root_lower_bound",
     "root_lower_bound_cache_clear",
 ]
@@ -194,32 +194,11 @@ def _compute_root_lower_bound(
 
 @dataclass(frozen=True)
 class SearchTelemetry:
-    """Counters of the most recent A* run (successful or aborted).
+    """Counters of one successful A* run, as returned by :func:`exhaustive_search`."""
 
-    ``run_id`` increases with every search, so callers that wrap a solver
-    invocation can tell whether the search actually ran in between (the
-    greedy and structured solvers never touch it).
-    """
-
-    run_id: int
     expanded: int
     frontier_peak: int
-    completed: bool
     dominated_pruned: int = 0
-
-
-# Telemetry is published per thread: a concurrent solve() in another thread
-# must never see (and misattribute) this thread's search counters.
-_telemetry_store = threading.local()
-_run_ids = count(1)
-
-
-def last_search_telemetry() -> Optional[SearchTelemetry]:
-    """Counters of the calling thread's most recent exhaustive search.
-
-    ``None`` before any search ran on this thread.
-    """
-    return getattr(_telemetry_store, "last", None)
 
 
 def _popcount(x: int) -> int:
@@ -646,13 +625,11 @@ def _astar(search, max_states: int):
     equal-or-lower g is skipped without expansion (and without counting
     against the state budget).
 
-    Telemetry (expanded states, frontier peak, dominance prunes) is
-    published through :func:`last_search_telemetry` whether the search
-    succeeds, runs out of budget, or exhausts the space — the counters are
-    part of the cost model the benchmark suite tracks, not just a success
-    statistic.
+    Returns ``(goal, parent, telemetry)``: the terminal configuration, the
+    parent links to rebuild the move list from, and the search counters
+    (expanded states, frontier peak, dominance prunes) the benchmark suite
+    tracks as part of the cost model.
     """
-    run_id = next(_run_ids)
     root = search.root_bound
     start = search.initial()
     dist: Dict = {start: 0.0}
@@ -662,62 +639,54 @@ def _astar(search, max_states: int):
     expanded = 0
     pruned = 0
     frontier_peak = 1
-    completed = False
     dom_table: Dict = {}
-    try:
-        while heap:
-            f, neg_g, _, state = heapq.heappop(heap)
-            g = -neg_g
-            if g > dist.get(state, float("inf")):
+    while heap:
+        f, neg_g, _, state = heapq.heappop(heap)
+        g = -neg_g
+        if g > dist.get(state, float("inf")):
+            continue
+        if search.is_goal(state):
+            telemetry = SearchTelemetry(
+                expanded=expanded, frontier_peak=frontier_peak, dominated_pruned=pruned
+            )
+            return state, parent, telemetry
+        dom = search.dominance(state)
+        if dom is not None:
+            key, mask = dom
+            entries = dom_table.setdefault(key, [])
+            dominated = False
+            for mask0, g0 in entries:
+                if g0 <= g + 1e-12 and (mask | mask0) == mask0:
+                    dominated = True
+                    break
+            if dominated:
+                pruned += 1
                 continue
-            if search.is_goal(state):
-                completed = True
-                return g, state, parent
-            dom = search.dominance(state)
-            if dom is not None:
-                key, mask = dom
-                entries = dom_table.setdefault(key, [])
-                dominated = False
-                for mask0, g0 in entries:
-                    if g0 <= g + 1e-12 and (mask | mask0) == mask0:
-                        dominated = True
-                        break
-                if dominated:
-                    pruned += 1
-                    continue
-                # the new entry may in turn dominate recorded ones; drop them
-                entries[:] = [
-                    (mask0, g0)
-                    for mask0, g0 in entries
-                    if not ((mask0 | mask) == mask and g <= g0 + 1e-12)
-                ]
-                entries.append((mask, g))
-            expanded += 1
-            if expanded > max_states:
-                raise SolverError(
-                    f"exhaustive search exceeded the state budget of {max_states} expanded states; "
-                    "the instance is too large for an exact solution"
-                )
-            for new_state, cost, moves in search.successors(state):
-                ng = g + cost
-                if ng < dist.get(new_state, float("inf")) - 1e-12:
-                    dist[new_state] = ng
-                    parent[new_state] = (state, moves)
-                    nf = ng + search.heuristic(new_state)
-                    if nf < root:
-                        nf = root
-                    heapq.heappush(heap, (nf, -ng, -next(tie), new_state))
-            if len(heap) > frontier_peak:
-                frontier_peak = len(heap)
-        raise SolverError("the search space was exhausted without reaching a terminal configuration")
-    finally:
-        _telemetry_store.last = SearchTelemetry(
-            run_id=run_id,
-            expanded=expanded,
-            frontier_peak=frontier_peak,
-            completed=completed,
-            dominated_pruned=pruned,
-        )
+            # the new entry may in turn dominate recorded ones; drop them
+            entries[:] = [
+                (mask0, g0)
+                for mask0, g0 in entries
+                if not ((mask0 | mask) == mask and g <= g0 + 1e-12)
+            ]
+            entries.append((mask, g))
+        expanded += 1
+        if expanded > max_states:
+            raise SolverError(
+                f"exhaustive search exceeded the state budget of {max_states} expanded states; "
+                "the instance is too large for an exact solution"
+            )
+        for new_state, cost, moves in search.successors(state):
+            ng = g + cost
+            if ng < dist.get(new_state, float("inf")) - 1e-12:
+                dist[new_state] = ng
+                parent[new_state] = (state, moves)
+                nf = ng + search.heuristic(new_state)
+                if nf < root:
+                    nf = root
+                heapq.heappush(heap, (nf, -ng, -next(tie), new_state))
+        if len(heap) > frontier_peak:
+            frontier_peak = len(heap)
+    raise SolverError("the search space was exhausted without reaching a terminal configuration")
 
 
 def _reconstruct(parent: Dict, goal) -> List:
@@ -731,6 +700,29 @@ def _reconstruct(parent: Dict, goal) -> List:
     return moves
 
 
+def exhaustive_search(
+    dag: ComputationalDAG,
+    r: int,
+    game: str,
+    variant: GameVariant = ONE_SHOT,
+    max_states: int = DEFAULT_MAX_STATES,
+) -> Tuple[Union[RBPSchedule, PRBPSchedule], SearchTelemetry]:
+    """An optimal ``game`` schedule (``"rbp"``/``"prbp"``) and the search counters.
+
+    Raises :class:`~repro.core.exceptions.SolverError` if no valid pebbling
+    exists for the given ``r`` or if the state budget is exceeded.
+    """
+    if game == "rbp":
+        search, schedule_cls = _RBPSearch(dag, r, variant, max_states), RBPSchedule
+    else:
+        search, schedule_cls = _PRBPSearch(dag, r, variant, max_states), PRBPSchedule
+    goal, parent, telemetry = _astar(search, max_states)
+    moves = _reconstruct(parent, goal)
+    schedule = schedule_cls(dag, r, moves, variant=variant, description="exhaustive optimum")
+    schedule.validate()
+    return schedule, telemetry
+
+
 def optimal_rbp_schedule(
     dag: ComputationalDAG,
     r: int,
@@ -742,12 +734,7 @@ def optimal_rbp_schedule(
     Raises :class:`~repro.core.exceptions.SolverError` if no valid pebbling
     exists for the given ``r`` or if the state budget is exceeded.
     """
-    search = _RBPSearch(dag, r, variant, max_states)
-    cost, goal, parent = _astar(search, max_states)
-    moves = _reconstruct(parent, goal)
-    schedule = RBPSchedule(dag, r, moves, variant=variant, description="exhaustive optimum")
-    schedule.validate()
-    return schedule
+    return exhaustive_search(dag, r, "rbp", variant=variant, max_states=max_states)[0]
 
 
 def optimal_rbp_cost(
@@ -772,12 +759,7 @@ def optimal_prbp_schedule(
     :mod:`repro.solvers.structured` and :mod:`repro.solvers.greedy` for
     strategies on larger instances.
     """
-    search = _PRBPSearch(dag, r, variant, max_states)
-    cost, goal, parent = _astar(search, max_states)
-    moves = _reconstruct(parent, goal)
-    schedule = PRBPSchedule(dag, r, moves, variant=variant, description="exhaustive optimum")
-    schedule.validate()
-    return schedule
+    return exhaustive_search(dag, r, "prbp", variant=variant, max_states=max_states)[0]
 
 
 def optimal_prbp_cost(

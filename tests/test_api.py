@@ -1,10 +1,13 @@
 """Tests for the repro.api facade: problem, registry, portfolio dispatch, results."""
 
+import threading
+
 import pytest
 
 from repro.api import (
     PebblingProblem,
     SolveResult,
+    SolverRun,
     get_solver,
     list_solvers,
     register_solver,
@@ -29,6 +32,7 @@ from repro.dags import (
     random_layered_dag,
     zipper_gadget,
 )
+from repro.solvers.anytime import refine_schedule
 from repro.solvers.greedy import topological_prbp_schedule
 
 
@@ -62,13 +66,13 @@ class TestRegistry:
     def test_duplicate_name_raises(self):
         @register_solver("test-dup", games=("prbp",))
         def first(problem, **options):
-            return topological_prbp_schedule(problem.dag, problem.r)
+            return SolverRun(topological_prbp_schedule(problem.dag, problem.r))
 
         try:
             with pytest.raises(ValueError):
                 @register_solver("test-dup", games=("prbp",))
                 def second(problem, **options):
-                    return topological_prbp_schedule(problem.dag, problem.r)
+                    return SolverRun(topological_prbp_schedule(problem.dag, problem.r))
         finally:
             unregister_solver("test-dup")
 
@@ -92,7 +96,7 @@ class TestRegistry:
     def test_custom_solver_roundtrip(self):
         @register_solver("test-custom", games=("prbp",), description="test only")
         def custom(problem, **options):
-            return topological_prbp_schedule(problem.dag, problem.r)
+            return SolverRun(topological_prbp_schedule(problem.dag, problem.r))
 
         try:
             result = solve(PebblingProblem(pyramid_dag(3), r=4), solver="test-custom")
@@ -100,6 +104,24 @@ class TestRegistry:
             assert result.cost == result.schedule.cost()
         finally:
             unregister_solver("test-custom")
+
+    def test_report_never_leaks_in_from_another_thread(self):
+        # a refinement that runs on another thread while this solve is in
+        # flight must not be reported as this solve's trajectory
+        @register_solver("test-thread-probe", games=("prbp",))
+        def probe(problem, **options):
+            schedule = topological_prbp_schedule(problem.dag, problem.r)
+            worker = threading.Thread(target=refine_schedule, args=(schedule,))
+            worker.start()
+            worker.join()
+            return SolverRun(schedule)
+
+        try:
+            result = solve(PebblingProblem(pyramid_dag(3), r=4), solver="test-thread-probe")
+            assert result.solve_stats.refinement is None
+            assert result.solve_stats.states_expanded is None
+        finally:
+            unregister_solver("test-thread-probe")
 
 
 # (dag, r, game, expected winning solver) — all DAGs large enough to skip the
@@ -212,6 +234,9 @@ class TestNamedDispatch:
         # step fails immediately and the portfolio moves on.
         result = solve(PebblingProblem(figure1_gadget(), r=4, game="prbp"), budget=0)
         assert result.solver == "figure1"  # family strategy, not exhaustive
+        attempts = [(a.solver, a.outcome) for a in result.solve_stats.attempts]
+        assert attempts == [("exhaustive", "failed"), ("figure1", "won")]
+        assert result.solve_stats.states_expanded is None
 
 
 class TestSolveResult:

@@ -365,7 +365,7 @@ def _doc(records):
     }
 
 
-def _rec(name, wall=0.1, cost=10, error=None, expected_ok=True, tier="quick"):
+def _rec(name, wall=0.1, cost=10, error=None, expected_ok=True, tier="quick", **counters):
     return {
         "scenario": name,
         "tier": tier,
@@ -373,6 +373,7 @@ def _rec(name, wall=0.1, cost=10, error=None, expected_ok=True, tier="quick"):
         "io_cost": cost,
         "error": error,
         "expected_ok": expected_ok,
+        **counters,
     }
 
 
@@ -435,6 +436,39 @@ class TestComparator:
     def test_threshold_below_one_rejected(self):
         with pytest.raises(ValueError, match="threshold"):
             compare_reports(_doc([]), _doc([]), threshold=0.8)
+
+    def test_search_counter_rise_fails(self):
+        for counter in ("states_expanded", "states_frontier_peak"):
+            current = _doc([_rec("a", **{counter: 43})])
+            baseline = _doc([_rec("a", **{counter: 42})])
+            result = compare_reports(current, baseline)
+            assert [r.kind for r in result.regressions] == ["counter"]
+            assert counter in result.regressions[0].message
+
+    def test_search_counter_fall_is_an_improvement(self):
+        current = _doc([_rec("a", states_expanded=40, states_frontier_peak=9)])
+        baseline = _doc([_rec("a", states_expanded=42, states_frontier_peak=10)])
+        result = compare_reports(current, baseline)
+        assert result.ok and len(result.improvements) == 2
+
+    def test_refine_counters_must_match_exactly(self):
+        for counter in ("refine_initial_cost", "refine_steps", "refine_accepted"):
+            for changed in (4, 6):
+                current = _doc([_rec("a", **{counter: changed})])
+                baseline = _doc([_rec("a", **{counter: 5})])
+                result = compare_reports(current, baseline)
+                assert [r.kind for r in result.regressions] == ["counter"], (counter, changed)
+
+    def test_counter_missing_from_the_baseline_is_not_gated(self):
+        current = _doc([_rec("a", states_expanded=99, refine_steps=96)])
+        baseline = _doc([_rec("a", states_expanded=None)])
+        assert compare_reports(current, baseline).ok
+
+    def test_counter_dropped_from_the_current_run_fails(self):
+        current = _doc([_rec("a", states_expanded=None, refine_steps=None)])
+        baseline = _doc([_rec("a", states_expanded=42, refine_steps=96)])
+        result = compare_reports(current, baseline)
+        assert [r.kind for r in result.regressions] == ["counter", "counter"]
 
     def test_describe_lists_findings(self):
         current = _doc([_rec("a", cost=11)])
@@ -509,6 +543,14 @@ class TestSolveStats:
         assert stats is not None and stats.wall_time_s > 0
         assert stats.states_expanded > 0
         assert stats.states_frontier_peak >= 1
+
+    def test_anytime_result_carries_its_trajectory(self):
+        problem = PebblingProblem(figure1_gadget(), 4, game="prbp")
+        result = solve(problem, solver="anytime", seed=0)
+        trajectory = result.solve_stats.refinement
+        assert trajectory is not None
+        assert trajectory.refined_cost == result.cost
+        assert result.solve_stats.states_expanded is None
 
     def test_non_search_solver_has_no_counters(self):
         result = solve(

@@ -302,6 +302,28 @@ class TestAutoPortfolioAttribution:
         assert stats.wall_time_s >= member_total * 0.99
         assert all(a.outcome in ("won", "lost", "failed", "skipped") for a in stats.attempts)
 
+    # (solver, outcome) sequences of the auto portfolio report, pinned so a
+    # refactor of its bookkeeping cannot reorder or relabel members (the
+    # budget=0 sequence is pinned in test_api's test_auto_honours_budget_zero)
+    @pytest.mark.parametrize(
+        "problem,expected",
+        [
+            (
+                PebblingProblem(figure1_gadget(), r=4, game="prbp"),
+                [("exhaustive", "won")],
+            ),
+            (
+                PebblingProblem(kary_tree_dag(2, 4), r=17, game="rbp"),
+                [("exhaustive", "skipped"), ("tree", "lost"), ("greedy", "won")],
+            ),
+        ],
+        ids=["exhaustive-wins", "structured-vs-greedy"],
+    )
+    def test_auto_attempt_sequence_is_pinned(self, problem, expected):
+        result = solve(problem)
+        assert [(a.solver, a.outcome) for a in result.solve_stats.attempts] == expected
+        assert result.solver == expected[-1][0]
+
     def test_direct_solver_has_no_attempts(self):
         problem = PebblingProblem(kary_tree_dag(2, 3), r=3, game="prbp")
         result = solve(problem, solver="greedy")

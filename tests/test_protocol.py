@@ -2,8 +2,10 @@
 
 import asyncio
 import base64
+import hashlib
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from repro.api import PebblingProblem, solve
 from repro.core.schedule_ir import ir_from_arrays, pack_arrays, unpack_arrays
 from repro.core.variants import ONE_SHOT, RECOMPUTE, GameVariant
-from repro.dags import chained_gadget_dag, figure1_gadget, kary_tree_dag
+from repro.dags import chained_gadget_dag, fft_dag, figure1_gadget, kary_tree_dag
 from repro.dags.random_dags import random_layered_dag
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
@@ -302,6 +304,44 @@ class TestResultRoundTrip:
         assert remote.solve_stats is not None
         assert remote.solve_stats.refinement == local.solve_stats.refinement
         assert remote.solve_stats.wall_time_s == local.solve_stats.wall_time_s
+
+    @pytest.mark.parametrize(
+        "problem,options,digest",
+        [
+            (
+                PebblingProblem(fft_dag(16), r=4, game="prbp"),
+                {},
+                "6efdf65536c4006f8bd9b368be2b2681ff0795958a2e949f9e86dcfec7f73016",
+            ),
+            (
+                PebblingProblem(figure1_gadget(), r=4, game="rbp"),
+                {"solver": "exhaustive"},
+                "c3c2ce2747f1ca5058e1d96b9aff5c6a0c781e8f3768a3304b6621e553397905",
+            ),
+            (
+                PebblingProblem(kary_tree_dag(2, 3), r=3, game="rbp"),
+                {"solver": "anytime", "seed": 3},
+                "97871c97a5dda3e838d2b7c86b109189f75cd2784e12459a1bb76700a8b2f741",
+            ),
+        ],
+        ids=["auto", "exhaustive", "anytime"],
+    )
+    def test_result_frame_bytes_are_pinned(self, problem, options, digest):
+        # Wall-clock fields are the only nondeterministic part of a result;
+        # pin them, and the frame must match the recorded bytes exactly.
+        result = solve(problem, **options)
+        stats = result.solve_stats
+        refinement = stats.refinement
+        if refinement is not None:
+            refinement = replace(refinement, time_to_best_s=0.25, wall_time_s=0.5)
+        stats = replace(
+            stats,
+            wall_time_s=1.5,
+            refinement=refinement,
+            attempts=tuple(replace(a, wall_time_s=0.125) for a in stats.attempts),
+        )
+        frame = encode_frame(result_to_wire(replace(result, solve_stats=stats)))
+        assert hashlib.sha256(frame).hexdigest() == digest
 
     def test_claimed_cost_must_match_the_replay(self):
         problem = _problems()[0]
