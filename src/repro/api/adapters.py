@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..core.dag import DAGFamily
-from ..core.exceptions import IllegalMoveError, SolverError
+from ..core.exceptions import SolverError
 from ..core.variants import ONE_SHOT
 from ..dags.attention import attention_instance
 from ..dags.fanin import fanin_groups_instance
@@ -143,9 +143,7 @@ def _anytime(problem: PebblingProblem, **options: object) -> SolverRun:
         else:
             greedy = topological_prbp_schedule(problem.dag, problem.r, variant=problem.variant)
         seeds.append(("greedy", greedy))
-    except (SolverError, IllegalMoveError) as exc:
-        # IllegalMoveError: a variant (e.g. no-deletion) forbids the moves
-        # the greedy builder relies on — not a seed, but not fatal either
+    except SolverError as exc:
         failures.append(("greedy", str(exc)))
     if not seeds:
         detail = "; ".join(f"{name}: {reason}" for name, reason in failures)

@@ -6,8 +6,8 @@ library previously reported the lower-bound gap and stopped.  This module
 closes part of that gap: given any legal RBP/PRBP schedule it runs a
 local-search refinement under an explicit step and/or wall-clock budget and
 returns a schedule that is **never costlier than its input** (cost
-monotonicity is enforced by construction — a mutation is kept only when the
-full replay through the game engine is legal and strictly cheaper).
+monotonicity is enforced by construction — a mutation is kept only when its
+replay on the columnar kernel is legal, complete and strictly cheaper).
 
 Refinement operators
 --------------------
@@ -18,9 +18,10 @@ Refinement operators
   Belady rule mispredicts these whenever capacity frees up shortly after an
   eviction).
 * **Eviction re-decision** — the realized processing order is extracted from
-  the current schedule and the whole pebbling is rebuilt by the greedy
-  machinery with Belady eviction against that *realized* future; this lets a
-  structured schedule borrow the baseline's eviction policy and vice versa.
+  the current schedule and the whole pebbling is rebuilt as rows by the
+  greedy Belady builder (:func:`repro.solvers.greedy.belady_rows`) against
+  that *realized* future; this lets a structured schedule borrow the
+  baseline's eviction policy and vice versa.
 * **Order perturbation** — a node is moved to a different position inside
   its topological mobility window and the schedule is rebuilt; this explores
   processing orders the deterministic heuristics never try.
@@ -68,7 +69,7 @@ from ..core.schedule_ir import (
 )
 from ..core.strategy import PRBPSchedule, RBPSchedule
 from ..core.variants import GameVariant
-from .greedy import greedy_rbp_schedule, topological_prbp_schedule
+from .greedy import belady_rows
 
 __all__ = [
     "DEFAULT_REFINE_STEPS",
@@ -119,7 +120,7 @@ class RefinementTrajectory:
         I/O cost of the returned schedule (``<= initial_cost`` always).
     steps:
         Mutation attempts actually spent (each attempt replays a candidate
-        schedule through the engine).
+        schedule on the replay kernel).
     accepted:
         How many attempts produced a strictly cheaper legal schedule.
     time_to_best_s:
@@ -192,14 +193,9 @@ def schedule_io_count(schedule: Schedule) -> int:
     """I/O cost of an *already validated* schedule — just its I/O move count.
 
     The single definition of "schedule cost without a replay"; the adapter
-    layer uses it to rank seed schedules, and the refinement internals use
-    it on rebuilds that are legal by construction.
+    layer uses it to rank seed schedules.
     """
-    return _io_count(schedule.moves)
-
-
-def _io_count(moves: Sequence[Move]) -> int:
-    return sum(1 for mv in moves if mv.is_io)
+    return sum(1 for mv in schedule.moves if mv.is_io)
 
 
 def _replay_cost(
@@ -214,7 +210,8 @@ def _replay_cost(
     Kept for the one-time validation of the input schedule: the engines stay
     the semantics definition, so refinement only ever starts from a schedule
     the engine itself accepts.  Candidate scoring inside the search runs on
-    the differential-tested replay kernel (:func:`_score_rows`) instead.
+    the differential-tested replay kernel (:func:`replay_io_cost`, same
+    contract: None when the candidate is illegal *or* incomplete) instead.
     """
     try:
         if game == "rbp":
@@ -222,38 +219,6 @@ def _replay_cost(
         return run_prbp_schedule(dag, r, moves, variant=variant).io_cost
     except PebblingError:
         return None
-
-
-def _score_rows(
-    dag: ComputationalDAG,
-    r: int,
-    rows: Sequence[Row],
-    variant: GameVariant,
-    game: str,
-) -> Optional[int]:
-    """Kernel score of a candidate row list — the refiner's hot path.
-
-    Same contract as :func:`_replay_cost` (None when the candidate is
-    illegal *or* incomplete), without per-move Move-object dispatch; the
-    equivalence is pinned down by ``tests/test_schedule_ir.py``.
-    """
-    return replay_io_cost(dag, r, variant, game, rows)
-
-
-def _io_count_rows(rows: Sequence[Row]) -> int:
-    return sum(1 for op, _, _ in rows if op <= OP_SAVE)
-
-
-def _make_schedule(
-    template: Schedule, moves: List[Move], description: str
-) -> Schedule:
-    if isinstance(template, RBPSchedule):
-        return RBPSchedule(
-            template.dag, template.r, moves, variant=template.variant, description=description
-        )
-    return PRBPSchedule(
-        template.dag, template.r, moves, variant=template.variant, description=description
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -361,26 +326,25 @@ def _prbp_elision_candidates(
     return candidates
 
 
-def _candidate_signature(
-    rows: Sequence[Row], cand: Tuple[int, ...]
-) -> Tuple[Tuple[Row, int], ...]:
-    """Position-independent identity of a candidate: its rows + occurrence ranks.
+def _occurrence_ranks(rows: Sequence[Row]) -> List[int]:
+    """Per index, how many equal rows precede it.
 
-    Candidate indices shift after every successful removal; the signature
-    survives the shift, so a candidate that failed once (e.g. a round trip
-    whose removal would overflow capacity) is not retried on every sweep —
-    failed retries would otherwise silently drain the step budget.  Rows are
-    a bijective image of Move objects (:func:`encode_moves`), so the dedup
-    classes are exactly the pre-kernel ones.
+    ``(rows[i], rank[i])`` identifies a move independently of its position:
+    candidate indices shift after every successful removal, but this
+    identity survives the shift, so a candidate that failed once (e.g. a
+    round trip whose removal would overflow capacity) is not retried on
+    every sweep — failed retries would otherwise silently drain the step
+    budget.  Rows are a bijective image of Move objects
+    (:func:`encode_moves`), so the dedup classes are exactly the pre-kernel
+    ones.
     """
     counts: Dict[Row, int] = {}
-    occ: Dict[int, Tuple[Row, int]] = {}
-    wanted = set(cand)
-    for idx, row in enumerate(rows):
-        if idx in wanted:
-            occ[idx] = (row, counts.get(row, 0))
-        counts[row] = counts.get(row, 0) + 1
-    return tuple(occ[idx] for idx in cand)
+    ranks: List[int] = []
+    for row in rows:
+        k = counts.get(row, 0)
+        ranks.append(k)
+        counts[row] = k + 1
+    return ranks
 
 
 def _elision_pass(
@@ -398,16 +362,18 @@ def _elision_pass(
     attempted: Set[Tuple[Tuple[Row, int], ...]] = set()
     for _ in range(_MAX_ELISION_SWEEPS):
         improved = False
+        ranks = _occurrence_ranks(rows)
         for cand in find(dag, r, rows, variant):
-            sig = _candidate_signature(rows, cand)
+            sig = tuple((rows[i], ranks[i]) for i in cand)
             if sig in attempted:
                 continue
             if not budget.spend():
                 return rows, cost
             attempted.add(sig)
-            drop = set(cand)
-            trial = [row for idx, row in enumerate(rows) if idx not in drop]
-            trial_cost = _score_rows(dag, r, trial, variant, game)
+            trial = list(rows)
+            for idx in sorted(cand, reverse=True):
+                del trial[idx]
+            trial_cost = replay_io_cost(dag, r, variant, game, trial)
             if trial_cost is not None and trial_cost < cost:
                 rows, cost = trial, trial_cost
                 on_accept(rows, cost)
@@ -470,23 +436,20 @@ def _rebuild(
     variant: GameVariant,
     game: str,
 ) -> Optional[Tuple[List[Row], int]]:
-    """Greedy Belady pebbling along ``order``; None when the rebuild is infeasible.
+    """Greedy Belady rows along ``order`` and their kernel-scored cost.
 
-    Rebuilt schedules are legal by construction (they are produced through
-    the engine), so their cost is just the I/O move count — no extra replay.
+    None when the rebuild is infeasible.  The builder replays every row
+    list on the kernel before returning it, so a candidate reaches the
+    acceptance test only with a kernel-verified cost.
     """
     try:
-        if game == "rbp":
-            schedule: Schedule = greedy_rbp_schedule(dag, r, topo_order=order, variant=variant)
-        else:
-            schedule = topological_prbp_schedule(dag, r, topo_order=order, variant=variant)
+        return belady_rows(dag, r, game, order, variant)
     except (PebblingError, ValueError):
-        # SolverError (infeasible r), IllegalMoveError (variant forbids the
-        # builder's delete moves), ValueError (non-topological order after a
-        # clear-variant extraction): all mean "no candidate from this order".
+        # SolverError (infeasible r, or a delete the variant forbids),
+        # IllegalMoveError (rows the kernel rejects), ValueError
+        # (non-topological order after a clear-variant extraction): all
+        # mean "no candidate from this order".
         return None
-    rows = encode_moves(game, schedule.moves)
-    return rows, _io_count_rows(rows)
 
 
 def _perturb_order(
@@ -637,7 +600,7 @@ def refine_schedule(
             reordered = _displace_move(best_rows, rng)
             if reordered is None:
                 continue
-            cost = _score_rows(dag, r, reordered, variant, game)
+            cost = replay_io_cost(dag, r, variant, game, reordered)
             if cost is None:
                 continue
             # reordering alone never changes the I/O count — its value is the
@@ -651,7 +614,9 @@ def refine_schedule(
     description = schedule.description
     if best_cost < initial_cost:
         description = f"anytime refinement of {origin} (seed={seed})"
-    refined = _make_schedule(schedule, decode_moves(game, best_rows), description)
+    cls = RBPSchedule if game == "rbp" else PRBPSchedule
+    moves = decode_moves(game, best_rows)
+    refined = cls(dag, r, moves, variant=variant, description=description)
     return refined, RefinementTrajectory(
         initial_cost=initial_cost,
         refined_cost=best_cost,

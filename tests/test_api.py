@@ -17,7 +17,7 @@ from repro.api import (
 )
 from repro.core.dag import DAGFamily
 from repro.core.exceptions import SolverError
-from repro.core.variants import ONE_SHOT
+from repro.core.variants import NO_DELETE, ONE_SHOT
 from repro.dags import (
     attention_dag,
     chained_gadget_dag,
@@ -180,6 +180,16 @@ class TestAutoDispatch:
         # strategy needs r >= 3 too, so r = 2 must raise, not mis-solve.
         with pytest.raises(SolverError, match="no solver could handle"):
             solve(PebblingProblem(kary_tree_dag(2, 4), r=2, game="rbp"))
+
+    @pytest.mark.parametrize("game", ["rbp", "prbp"])
+    def test_no_deletion_variant_ends_in_the_portfolio_error(self, game):
+        # n = 15 skips exhaustive; the greedy eviction needs a delete the
+        # variant forbids, which must surface as the portfolio's SolverError
+        # naming the rule, not as a raw engine error.
+        dag = random_layered_dag([4, 4, 4, 3], 0.4, seed=3)
+        problem = PebblingProblem(dag, dag.max_in_degree + 1, game=game, variant=NO_DELETE)
+        with pytest.raises(SolverError, match="no solver could handle.*greedy: .*no-deletion"):
+            solve(problem)
 
     def test_tree_at_critical_capacity_is_provably_optimal(self):
         result = solve(PebblingProblem(kary_tree_dag(2, 5), r=3, game="prbp"))

@@ -1,13 +1,26 @@
 """Tests for the greedy pebblers and the naive baselines."""
 
-import pytest
+import hashlib
+import random
 
-from repro.core.exceptions import SolverError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.exceptions import PebblingError, SolverError
+from repro.core.prbp import run_prbp_schedule
+from repro.core.rbp import run_rbp_schedule
+from repro.core.schedule_ir import encode_moves
+from repro.core.variants import NO_DELETE, ONE_SHOT, RECOMPUTE, SLIDING, GameVariant
 from repro.dags import (
     binary_tree_instance,
+    chained_gadget_dag,
+    fft_dag,
     fft_instance,
     figure1_instance,
+    kary_tree_dag,
+    matvec_dag,
     matvec_instance,
+    random_dag,
     random_layered_dag,
     zipper_instance,
 )
@@ -112,3 +125,143 @@ class TestNaiveBaselines:
     def test_naive_rbp_rejects_too_small_r(self):
         with pytest.raises(SolverError):
             naive_rbp_schedule(figure1_instance().dag, r=2)
+
+
+# --------------------------------------------------------------------------- #
+# move-for-move pins of the Belady builders
+# --------------------------------------------------------------------------- #
+
+#: The five rule bundles the pins sweep (sliding makes PRBP raise ValueError).
+PIN_VARIANTS = (
+    ONE_SHOT,
+    RECOMPUTE,
+    SLIDING,
+    NO_DELETE,
+    GameVariant(compute_cost=0.5, split_compute_cost=True),
+)
+
+#: (label, DAG factory) — random layered DAGs of several densities plus
+#: family shapes with wide fan-in/fan-out.
+PIN_DAGS = [
+    ("layered-a", lambda: random_layered_dag([3, 4, 4, 3], 0.4, seed=1)),
+    ("layered-b", lambda: random_layered_dag([4, 4, 4, 3], 0.4, seed=3)),
+    ("layered-c", lambda: random_layered_dag([5, 6, 5, 4], 0.3, seed=7)),
+    ("layered-d", lambda: random_layered_dag([4, 6, 6, 3], 0.6, seed=11)),
+    ("layered-e", lambda: random_layered_dag([6, 5, 4, 3, 2], 0.5, max_in_degree=3, seed=2)),
+    ("random-f", lambda: random_dag(18, edge_probability=0.3, seed=5)),
+    ("tree-k2-d3", lambda: kary_tree_dag(2, 3)),
+    ("fft-8", lambda: fft_dag(8)),
+    ("matvec-3", lambda: matvec_dag(3)),
+    ("zipper-3-4", lambda: zipper_instance(3, 4).dag),
+    ("chained-3", lambda: chained_gadget_dag(3)),
+]
+
+#: Orders swept per DAG: the DAG's own order (None) and three seeded ones.
+PIN_ORDER_SEEDS = (None, 0, 1, 2)
+
+#: sha256 over every (r, order, variant) outcome of one (DAG, game) pair,
+#: recorded from the engine-driven builders this module's builder replaced.
+PIN_DIGESTS = {
+    ('layered-a', 'rbp'): "bcfc672178f311b1c857fb0d74eb4c57409845731c422693170fac1aa1f2cbdb",
+    ('layered-a', 'prbp'): "e507c35dc00325c7d43e37c4a3c1666d9023ac728fcfd1d8612bab32723ad14c",
+    ('layered-b', 'rbp'): "44435b1fdb7f4a42ed695dd2d0bfa08d52bf4108510532afc5b301d6c21fd12f",
+    ('layered-b', 'prbp'): "ae9cb4cbefda39c7130b5abf7cae6c841d259b41ae8a0d137faefb7564d7af77",
+    ('layered-c', 'rbp'): "3c61786650e8a863339b604909c3e449f457e7dd2f7ec4bb644e68afef043c90",
+    ('layered-c', 'prbp'): "2fb8405ec17189ebb205a10347824529494ae8a603b977b8aac49b76a6010bb8",
+    ('layered-d', 'rbp'): "b9b99352289871d785a13d66482272da24135ae1df6dbec52d1775ede1c26a4d",
+    ('layered-d', 'prbp'): "c04a21958ed014f16ceb4ab74b9c43b295b6386cb6a7a42cb21fba011ef99430",
+    ('layered-e', 'rbp'): "2d5cf41d3b60d0a9c668451080c435c2978ea2e1a483b00c1f7675e879b1597b",
+    ('layered-e', 'prbp'): "6f3679640511262033e1a5c1b0eb77f83f5c5a956b97da08ce76ac6eebc830f5",
+    ('random-f', 'rbp'): "c55ef8b7d2cec0a6566f14f24a245a5fe47a1c556a838833f9398c8ab5698544",
+    ('random-f', 'prbp'): "49db397d8d65ca883653d55710805e2558c5a11155f63476445b5d778a2792f0",
+    ('tree-k2-d3', 'rbp'): "0edaa42f2cbce30df38783abfe7eb03e7d0cbaa9731e9c24497e1acd5e758bb0",
+    ('tree-k2-d3', 'prbp'): "7d730e6d47f753eaf02281c4ecff53ee88923bee7eeee931541dc499d0be52e0",
+    ('fft-8', 'rbp'): "368593ffbf8087bf6b6bb8e193d64bfcac3435e25ed396769f1205a0c3d65330",
+    ('fft-8', 'prbp'): "8da2cc07dc9d25baa8c5454ad1880af48cd277d28f62758939ef981fd5a32e75",
+    ('matvec-3', 'rbp'): "40ad3e77c39bbb0d00223f02613d5c62369541e0ee7a42329963760d7aad647d",
+    ('matvec-3', 'prbp'): "ca37ce97a2688da2382c7c255da5b22a8ee3459d9d7f8aa6e6f74695ced5525b",
+    ('zipper-3-4', 'rbp'): "c719d2467ed78e57f1e0fa438e5f8505c06d29500ac200636ae70a62a7820ed4",
+    ('zipper-3-4', 'prbp'): "b71af8929395ad11523b6e7f4fa662cd926ef09569420a5dafe637d45795c2ec",
+    ('chained-3', 'rbp'): "32122d0f8711587f841eaa819988362d20f030961be40b5e8fa053115df64eb1",
+    ('chained-3', 'prbp'): "3a20f221d975799ed32b11fecc16f968dedba248b37f91ed9767e07222f9bc40",
+}
+
+
+def _random_topological_order(dag, seed):
+    """A seeded Kahn order: each step takes a uniformly drawn ready node."""
+    rng = random.Random(seed)
+    indeg = [dag.in_degree(v) for v in range(dag.n)]
+    ready = [v for v in range(dag.n) if indeg[v] == 0]
+    order = []
+    while ready:
+        v = ready.pop(rng.randrange(len(ready)))
+        order.append(v)
+        for w in dag.successors(v):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return order
+
+
+def _pin_rs(dag, game):
+    low = dag.max_in_degree
+    rs = (1, 2, 3, low + 1, low + 3) if game == "prbp" else (low, low + 1, low + 2, low + 4)
+    return sorted(set(rs))
+
+
+def _build_outcome(game, dag, r, order, variant):
+    """sha256 of the builder's rows, or the class of error it raised."""
+    builder = greedy_rbp_schedule if game == "rbp" else topological_prbp_schedule
+    try:
+        schedule = builder(dag, r, topo_order=order, variant=variant)
+    except PebblingError:
+        return "raises PebblingError"
+    except ValueError:
+        return "raises ValueError"
+    rows = encode_moves(game, schedule.moves)
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def pin_digest(label, game):
+    dag = dict(PIN_DAGS)[label]()
+    lines = []
+    for r in _pin_rs(dag, game):
+        for order_seed in PIN_ORDER_SEEDS:
+            order = None if order_seed is None else _random_topological_order(dag, order_seed)
+            for index, variant in enumerate(PIN_VARIANTS):
+                outcome = _build_outcome(game, dag, r, order, variant)
+                lines.append(f"{r}|{order_seed}|{index}|{outcome}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestBuilderPins:
+    @pytest.mark.parametrize("game", ["rbp", "prbp"])
+    @pytest.mark.parametrize("label", [label for label, _ in PIN_DAGS])
+    def test_rows_match_the_recorded_builders(self, label, game):
+        assert pin_digest(label, game) == PIN_DIGESTS[(label, game)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        game=st.sampled_from(["rbp", "prbp"]),
+        layers=st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=5),
+        probability=st.floats(min_value=0.1, max_value=0.7),
+        dag_seed=st.integers(min_value=0, max_value=10_000),
+        order_seed=st.integers(min_value=0, max_value=10_000),
+        extra_r=st.integers(min_value=-1, max_value=4),
+        variant=st.sampled_from(PIN_VARIANTS),
+    )
+    def test_every_output_replays_with_its_io_row_count(
+        self, game, layers, probability, dag_seed, order_seed, extra_r, variant
+    ):
+        dag = random_layered_dag(layers, probability, seed=dag_seed)
+        r = max(1, dag.max_in_degree + 1 + extra_r)
+        builder = greedy_rbp_schedule if game == "rbp" else topological_prbp_schedule
+        order = _random_topological_order(dag, order_seed)
+        try:
+            schedule = builder(dag, r, topo_order=order, variant=variant)
+        except (PebblingError, ValueError):
+            return
+        replay = run_rbp_schedule if game == "rbp" else run_prbp_schedule
+        game_state = replay(dag, r, schedule.moves, variant=variant)
+        rows = encode_moves(game, schedule.moves)
+        assert game_state.io_cost == sum(1 for op, _, _ in rows if op <= 1)
