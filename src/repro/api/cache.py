@@ -11,18 +11,17 @@ which is what lets :func:`repro.api.solve_many` return cached entries in
 place of fresh solves without weakening its serial-equivalence contract.
 
 Entries live in a bounded in-memory LRU and, when a directory is configured,
-on disk as ``<dir>/<digest[:2]>/<digest>.pkl``.  Since format version 3 the
-schedule inside a disk entry is stored in the columnar interchange form of
-:mod:`repro.core.schedule_ir` (packed ``op``/``node``/``arg`` arrays) rather
-than as a pickled list of Move objects.  Disk entries are written atomically
+on disk as ``<dir>/<digest[:2]>/<digest>.pkl``.  Both tiers keep the
+schedule as ``result.ir``'s columns (:mod:`repro.core.schedule_ir`), never
+as Move objects; the memory tier answers by digest alone
+(``ResultCache.get(None, digest)``).  Disk entries are written atomically
 and carry a payload checksum; on read the checksum is verified, the pickle
 is loaded defensively, the stored problem is compared against the requested
-one, the columns are decoded, and (by default) the schedule is replayed
-through the replay kernel.  Anything that fails — truncation,
-bit flips, stale pickles from another library version, old-format entries,
-digest collisions — counts as *corrupt*: the entry is deleted and the
-caller falls back to recomputation.  A cache can slow a run down, but it
-can never change an answer.
+one, the columns are decoded, and (by default) replayed through the replay
+kernel before they are served.  Anything that fails — truncation, bit flips,
+stale pickles from another library version, old-format entries, digest
+collisions — counts as *corrupt*: the entry is deleted and the caller falls
+back to recomputation.  A cache can slow a run down, but never change an answer.
 
 Invalidation: digests include :data:`CACHE_FORMAT_VERSION` and the installed
 ``repro-prbp`` version, so upgrading either abandons old entries in place
@@ -43,16 +42,16 @@ from pathlib import Path
 from typing import Mapping, Optional, Union
 
 from ..core.canonical import dag_digest
+from ..core.dag import DAGFamily
 from ..core.schedule_ir import (
-    from_schedule,
     ir_digest,
     ir_from_arrays,
     kernel_stats,
     pack_arrays,
-    to_schedule,
     unpack_arrays,
 )
 from ..core.strategy import ScheduleStats
+from ..core.variants import GameVariant
 from ..obs.metrics import CounterFamily, MetricsRegistry
 from .problem import PebblingProblem
 from .result import SolveResult
@@ -66,6 +65,7 @@ __all__ = [
     "cacheable_options",
     "default_cache_dir",
     "problem_digest",
+    "problem_digest_from_parts",
 ]
 
 #: Bumped whenever the digest inputs or the on-disk layout change shape.
@@ -146,7 +146,22 @@ def problem_digest(
     digest covers budget-insensitive identity only and the batch layer
     additionally refuses to cache wall-clock-budgeted solves at all.
     """
-    fam = problem.dag.family
+    dag = problem.dag
+    return problem_digest_from_parts(
+        dag_digest(dag), dag.family, problem.r, problem.game, problem.variant, solver, options
+    )
+
+
+def problem_digest_from_parts(
+    dag_hex: str,
+    family: Optional[DAGFamily],
+    r: int,
+    game: str,
+    variant: GameVariant,
+    solver: str,
+    options: Optional[Mapping[str, object]],
+) -> str:
+    """:func:`problem_digest` from parts, the DAG given by its exact ``dag_digest``."""
     digested = {
         key: value
         for key, value in (options or {}).items()
@@ -158,11 +173,11 @@ def problem_digest(
             (
                 CACHE_FORMAT_VERSION,
                 _library_version(),
-                dag_digest(problem.dag),
-                None if fam is None else (fam.name, fam.params),
-                problem.r,
-                problem.game,
-                problem.variant,
+                dag_hex,
+                None if family is None else (family.name, family.params),
+                r,
+                game,
+                variant,
                 solver,
                 tuple(sorted(digested.items(), key=lambda kv: kv[0])),
             )
@@ -262,13 +277,14 @@ class ResultCache:
     # lookup
     # ------------------------------------------------------------------ #
 
-    def get(self, problem: PebblingProblem, digest: str) -> Optional[SolveResult]:
+    def get(self, problem: Optional[PebblingProblem], digest: str) -> Optional[SolveResult]:
         """The cached result for ``digest``, or ``None`` (counted as a miss).
 
         ``problem`` is the instance the caller is about to solve; it is
         compared against the stored entry's problem so that even a SHA-256
         collision (or a forged file) cannot smuggle in a result for a
-        different instance.
+        different instance.  ``None`` reads only the memory tier, and leaves a
+        miss uncounted while the disk tier remains to be read with the problem.
         """
         cached = self._memory.get(digest)
         if cached is not None:
@@ -277,6 +293,8 @@ class ResultCache:
             self._count("hit_memory")
             return cached
         if self.directory is not None:
+            if problem is None:
+                return None
             cached = self._read_disk(problem, digest)
             if cached is not None:
                 self._remember(digest, cached)
@@ -447,7 +465,7 @@ class ResultCache:
 
     def _encode_entry(self, digest: str, result: SolveResult) -> dict:
         """The v3 on-disk document: schedule as packed IR columns, not Moves."""
-        ir = from_schedule(result.schedule)
+        ir = result.ir
         return {
             "format": CACHE_FORMAT_VERSION,
             "digest": digest,
@@ -501,7 +519,7 @@ class ResultCache:
                 raise ValueError("replayed statistics differ from the stored ones")
         return SolveResult(
             problem=problem,
-            schedule=to_schedule(ir),
+            ir=ir,
             stats=stats,
             solver=str(doc["solver"]),
             exact_solver=bool(doc["exact_solver"]),

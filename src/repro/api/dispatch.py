@@ -3,8 +3,8 @@
 ``solve(problem)`` runs the auto-dispatch portfolio; ``solve(problem,
 solver="fft-blocked")`` runs one registered solver by name.  Either way the
 returned :class:`~repro.api.result.SolveResult` carries a schedule that has
-been replayed through the engine, so the reported cost is the cost of an
-actually legal pebbling.
+been replayed through the replay kernel, so the reported cost is the cost of
+an actually legal pebbling.
 
 The ``"auto"`` portfolio, in order:
 
@@ -56,6 +56,7 @@ from dataclasses import asdict, replace
 from typing import List, Optional, Tuple
 
 from ..core.exceptions import SolverError
+from ..core.schedule_ir import from_schedule, kernel_stats
 from ..obs.tracing import get_tracer
 from ..solvers.anytime import refine_schedule
 from .bounds import best_lower_bound
@@ -100,11 +101,12 @@ def _run(
     """
     start = time.perf_counter()
     run: SolverRun = info.fn(problem, **options)
-    stats = run.schedule.stats()  # replays through the engine; raises on an illegal schedule
+    ir = from_schedule(run.schedule)
+    stats = kernel_stats(ir)  # raises on an illegal or incomplete schedule
     wall_time = time.perf_counter() - start
     return SolveResult(
         problem=problem,
-        schedule=run.schedule,
+        ir=ir,
         stats=stats,
         solver=info.name,
         exact_solver=info.exact,
@@ -157,7 +159,8 @@ def _apply_refinement(result: SolveResult, **options: object) -> SolveResult:
         refinement=trajectory,
     )
     if trajectory.refined_cost < trajectory.initial_cost:
-        return replace(result, schedule=refined, stats=refined.stats(), solve_stats=solve_stats)
+        ir = from_schedule(refined)
+        return replace(result, ir=ir, stats=kernel_stats(ir), solve_stats=solve_stats)
     return replace(result, solve_stats=solve_stats)
 
 

@@ -1,17 +1,21 @@
 """The :class:`SolveResult` container returned by :func:`repro.api.solve`.
 
 A result always carries a *validated* schedule (the cost is the cost of an
-actually legal pebbling, replayed through the engine), the replay statistics,
-the best lower bound the library knows for the instance, and the optimality
-flags derived from the two.
+actually legal pebbling, replayed through the replay kernel) as packed columns,
+``result.ir``; ``result.schedule`` is a Move-object view of it, built on first
+access and never pickled.  It also carries the replay statistics, the best
+lower bound the library knows for the instance, and the optimality flags
+derived from the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from functools import cached_property
+from typing import Dict, Optional, Tuple, Union
 
 from ..core.exceptions import PebblingError
+from ..core.schedule_ir import ScheduleIR, to_schedule
 from ..core.strategy import PRBPSchedule, RBPSchedule, ScheduleStats
 from ..solvers.anytime import RefinementTrajectory
 from .problem import PebblingProblem
@@ -101,9 +105,9 @@ class SolveResult:
     ----------
     problem:
         The instance that was solved.
-    schedule:
-        The validated move list (an :class:`RBPSchedule` or
-        :class:`PRBPSchedule` matching ``problem.game``).
+    ir:
+        The validated schedule as packed ``op``/``node``/``arg`` columns
+        (read-only).  :attr:`schedule` is its Move-object view.
     stats:
         Replay statistics: per-kind move counts, I/O cost, peak red pebbles.
     solver:
@@ -126,13 +130,24 @@ class SolveResult:
     """
 
     problem: PebblingProblem
-    schedule: Schedule
+    ir: ScheduleIR
     stats: ScheduleStats
     solver: str
     exact_solver: bool
     lower_bound: Optional[int] = None
     lower_bound_source: str = ""
     solve_stats: Optional[SolveStats] = None
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        """The validated move list (:class:`RBPSchedule` or :class:`PRBPSchedule`)."""
+        return to_schedule(self.ir)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # the view is derived: a worker that touched it must not ship it back
+        state = dict(self.__dict__)
+        state.pop("schedule", None)
+        return state
 
     @property
     def cost(self) -> int:

@@ -29,7 +29,8 @@ from typing import List, Tuple
 
 from .dag import ComputationalDAG, Edge
 
-__all__ = ["canonical_labeling", "canonical_form", "dag_digest", "DIGEST_ALGORITHM"]
+__all__ = ["canonical_labeling", "canonical_form", "content_digest", "dag_digest",
+           "DIGEST_ALGORITHM"]
 
 #: Hash algorithm behind every digest in this module (hex output).
 DIGEST_ALGORITHM = "sha256"
@@ -105,10 +106,17 @@ def dag_digest(dag: ComputationalDAG, exact: bool = True) -> str:
     identifies canonically-equal relabelings (useful for corpus
     deduplication, not for result caching).
     """
-    h = hashlib.new(DIGEST_ALGORITHM)
-    if exact:
-        labels = tuple(dag.label(v) for v in range(dag.n))
-        h.update(repr((dag.n, dag.edges, labels, dag.name)).encode())
-    else:
-        h.update(repr(canonical_form(dag)).encode())
-    return h.hexdigest()
+    if not exact:
+        return hashlib.new(DIGEST_ALGORITHM, repr(canonical_form(dag)).encode()).hexdigest()
+    # memoized per DAG object; of the digested content only ``name`` is mutable
+    memo = getattr(dag, "_digest_memo", None)
+    if memo is not None and memo[0] == dag.name:
+        return memo[1]
+    digest = content_digest(dag.n, dag.edges, tuple(map(dag.label, range(dag.n))), dag.name)
+    dag._digest_memo = (dag.name, digest)
+    return digest
+
+
+def content_digest(n: int, edges: Tuple[Edge, ...], labels: Tuple[str, ...], name: str) -> str:
+    """The exact :func:`dag_digest` of unbuilt content: tuples like ``dag.edges`` and its labels."""
+    return hashlib.new(DIGEST_ALGORITHM, repr((n, edges, labels, name)).encode()).hexdigest()

@@ -119,7 +119,9 @@ class ComputationalDAG:
         "_labels",
         "name",
         "family",
+        "_digest_memo",
     )
+    _digest_memo: Tuple[str, str]  # (name, digest) memo of canonical.dag_digest; unset until then
 
     def __init__(
         self,

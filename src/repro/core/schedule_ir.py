@@ -43,7 +43,7 @@ import base64
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -184,8 +184,8 @@ class ScheduleIR:
     """A schedule as three parallel int32 columns plus its header.
 
     ``op[i]``/``node[i]``/``arg[i]`` describe move ``i`` per the table in
-    the module docstring.  The columns are read-only by convention — every
-    consumer treats an IR as immutable (the digest would drift otherwise).
+    the module docstring.  The columns are read-only arrays the IR owns, so
+    no holder of a shared IR (a cache hit) can change it for the next one.
     """
 
     game: str
@@ -197,16 +197,41 @@ class ScheduleIR:
     arg: np.ndarray
     description: str = ""
 
+    def __post_init__(self) -> None:
+        for name in _COLUMNS:
+            object.__setattr__(self, name, _as_column(getattr(self, name)))
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # pickling drops the write lock; the unpickled columns are the IR's own
+        for name, value in state.items():
+            if name in _COLUMNS:
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        # value equality, like the Move-list schedules an IR stands for
+        if not isinstance(other, ScheduleIR):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name)) if name in _COLUMNS
+            else getattr(self, name) == getattr(other, name)
+            for name in self.__dataclass_fields__
+        )
+
     def __len__(self) -> int:
         return int(self.op.shape[0])
 
-    @property
-    def n(self) -> int:
-        return self.dag.n
+
+_COLUMNS = ("op", "node", "arg")
 
 
 def _as_column(values: Sequence[int]) -> np.ndarray:
-    return np.asarray(values, dtype=np.int32)
+    """``values`` as a read-only int32 column, copied if a caller's array is writeable."""
+    column = np.asarray(values, dtype=np.int32)
+    if column.flags.writeable and np.may_share_memory(column, values):
+        column = column.copy()
+    column.setflags(write=False)
+    return column
 
 
 def encode_moves(game: str, moves: Iterable[Move]) -> List[MoveRow]:
@@ -337,18 +362,15 @@ def from_schedule(schedule: Schedule) -> ScheduleIR:
     game = "rbp" if isinstance(schedule, RBPSchedule) else "prbp"
     rows = encode_moves(game, schedule.moves)
     _validate_rows(game, schedule.dag.n, rows)
-    if rows:
-        op, node, arg = (list(col) for col in zip(*rows))
-    else:
-        op, node, arg = [], [], []
+    op, node, arg = np.array(rows, dtype=np.int32).reshape(-1, 3).T
     return ScheduleIR(
         game=game,
         dag=schedule.dag,
         r=int(schedule.r),
         variant=schedule.variant,
-        op=_as_column(op),
-        node=_as_column(node),
-        arg=_as_column(arg),
+        op=op,
+        node=node,
+        arg=arg,
         description=schedule.description,
     )
 
@@ -446,18 +468,18 @@ def ir_from_arrays(
     """Assemble and *validate* an IR from untrusted columns (cache / wire)."""
     if game not in _GAMES:
         raise ValueError(f"game must be one of {_GAMES}, got {game!r}")
-    op, node, arg = _as_column(op), _as_column(node), _as_column(arg)
-    _validate_columns(game, dag.n, op, node, arg)
-    return ScheduleIR(
+    ir = ScheduleIR(
         game=game,
         dag=dag,
         r=int(r),
         variant=variant,
-        op=_as_column(op),
-        node=_as_column(node),
-        arg=_as_column(arg),
+        op=op,
+        node=node,
+        arg=arg,
         description=description,
     )
+    _validate_columns(game, dag.n, ir.op, ir.node, ir.arg)
+    return ir
 
 
 # --------------------------------------------------------------------------- #

@@ -7,7 +7,7 @@ calling conventions cover the protocol:
 
 * **blocking** — :meth:`ServiceClient.solve` poses a problem and returns
   the :class:`~repro.api.result.SolveResult`, reconstructed locally by
-  replaying the wire schedule through the game engine (so it is
+  replaying the wire schedule through the replay kernel (so it is
   bit-identical to what a local ``solve()`` would have produced);
 * **fire-and-forget** — :meth:`ServiceClient.submit` returns a job id
   immediately; :meth:`ServiceClient.poll` (optionally waiting) fetches the

@@ -21,13 +21,15 @@ Problem and result serialization
 Problems travel as their full content — DAG (``n``, edge list, labels, name,
 family tag), capacity, game, variant — plus the
 :func:`repro.core.canonical.dag_digest` of the DAG.  The receiving side
-rebuilds the DAG and recomputes the digest; a mismatch means the wire doc
-does not faithfully describe the graph and is refused.  Results travel as
-the schedule's packed columnar form (the base64 ``ops``/``nodes``/``args``
-columns of :mod:`repro.core.schedule_ir`, protocol version 2) plus solver
-provenance; :func:`result_from_wire` decodes the columns and replays them
-through the replay kernel (the library's "never trust, always replay"
-policy), so a service client ends up holding a
+recomputes the digest from the content; a mismatch means the wire doc does
+not faithfully describe the graph and is refused.  A server answers memory
+cache hits by content digest (:func:`parse_problem`) before it
+rebuilds the DAG (:meth:`WireProblem.rebuild`).  Results travel as
+``result.ir``'s packed columns (the base64 ``ops``/``nodes``/``args`` of
+:mod:`repro.core.schedule_ir`, protocol version 2) plus solver provenance;
+:func:`result_from_wire` decodes the columns and replays them through the
+replay kernel (the library's "never trust, always replay" policy) and builds
+no Move objects, so a service client ends up holding a
 :class:`~repro.api.result.SolveResult` whose cost is the cost of an actually
 legal pebbling — bit-identical to what a local ``solve()`` returns.
 
@@ -41,23 +43,23 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from dataclasses import asdict
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import asdict, fields
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple, cast
 
-from ..core.canonical import dag_digest
-from ..core.dag import ComputationalDAG, DAGFamily
+from ..core.canonical import content_digest, dag_digest
+from ..core.dag import ComputationalDAG, DAGFamily, Edge
 from ..core.schedule_ir import (
-    from_schedule,
+    ScheduleIR,
     ir_from_arrays,
     kernel_stats,
     pack_arrays,
-    to_schedule,
     unpack_arrays,
 )
 from ..core.strategy import ScheduleStats
 from ..core.variants import GameVariant
+from ..api.cache import problem_digest_from_parts
 from ..api.problem import GAMES, PebblingProblem
-from ..api.result import Schedule, SolveAttempt, SolveResult, SolveStats
+from ..api.result import SolveAttempt, SolveResult, SolveStats
 from ..solvers.anytime import RefinementTrajectory
 
 __all__ = [
@@ -77,6 +79,8 @@ __all__ = [
     "validate_request",
     "problem_to_wire",
     "problem_from_wire",
+    "WireProblem",
+    "parse_problem",
     "result_to_wire",
     "result_from_wire",
 ]
@@ -382,29 +386,24 @@ def _family_from_wire(doc: Optional[object]) -> Optional[DAGFamily]:
 
 
 def _variant_to_wire(variant: GameVariant) -> Dict[str, object]:
-    return {
-        "one_shot": variant.one_shot,
-        "allow_sliding": variant.allow_sliding,
-        "allow_delete": variant.allow_delete,
-        "compute_cost": variant.compute_cost,
-        "split_compute_cost": variant.split_compute_cost,
-    }
+    # coerced to the wire types, so that a locally valid variant is never refused
+    doc = {f.name: bool(getattr(variant, f.name)) for f in fields(GameVariant)}
+    return {**doc, "compute_cost": float(variant.compute_cost)}
 
 
 def _variant_from_wire(doc: object) -> GameVariant:
     _require(isinstance(doc, dict), "'variant' must be an object")
     assert isinstance(doc, dict)
-    known = {"one_shot", "allow_sliding", "allow_delete", "compute_cost", "split_compute_cost"}
-    unknown = set(doc) - known
+    values = {f.name: f.default for f in fields(GameVariant)}
+    unknown = set(doc) - set(values)
     _require(not unknown, f"unknown variant fields {sorted(unknown)!r}")
+    values.update(doc)
+    for field, value in values.items():
+        # validated, not coerced; a bool is an int, so compare exact types
+        kinds = (int, float) if field == "compute_cost" else (bool,)
+        _require(type(value) in kinds, f"variant {field!r} must be a {kinds[-1].__name__}")
     try:
-        return GameVariant(
-            one_shot=bool(doc.get("one_shot", True)),
-            allow_sliding=bool(doc.get("allow_sliding", False)),
-            allow_delete=bool(doc.get("allow_delete", True)),
-            compute_cost=float(doc.get("compute_cost", 0.0)),
-            split_compute_cost=bool(doc.get("split_compute_cost", False)),
-        )
+        return GameVariant(**{**values, "compute_cost": float(values["compute_cost"])})
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid variant: {exc}") from exc
 
@@ -427,6 +426,94 @@ def problem_to_wire(problem: PebblingProblem) -> Dict[str, object]:
     }
 
 
+class WireProblem(NamedTuple):
+    """A wire problem document, decoded and type-checked but not yet rebuilt.
+
+    :meth:`digest` and :meth:`rebuild` both refuse a claimed ``dag_digest``
+    that does not match the content.  :meth:`digest` does not check the DAG's
+    structure: a document that describes no valid DAG gets a digest no cached
+    problem has, and :meth:`rebuild` refuses it.
+    """
+
+    n: int
+    edges: Tuple[Edge, ...]
+    labels: Tuple[str, ...]
+    name: str
+    family: Optional[DAGFamily]
+    dag_hex: str  # the exact dag_digest of the content
+    claimed: str  # the document's dag_digest
+    r: int
+    game: str
+    variant: GameVariant
+
+    def _checked_dag_hex(self) -> str:
+        claimed, actual = self.claimed[:16], self.dag_hex[:16]
+        _require(self.dag_hex == self.claimed, f"dag content digest mismatch (claimed {claimed}…, rebuilt {actual}…)")
+        return self.dag_hex
+
+    def digest(self, solver: str = "auto", options: Optional[Mapping[str, object]] = None) -> str:
+        """``problem_digest(self.rebuild(), solver, options)`` without the rebuild."""
+        return problem_digest_from_parts(
+            self._checked_dag_hex(), self.family, self.r, self.game, self.variant, solver, options
+        )
+
+    def rebuild(self) -> PebblingProblem:
+        """The :class:`PebblingProblem`, or a :class:`ProtocolError` if the DAG is invalid."""
+        labels = dict(enumerate(self.labels))
+        try:
+            dag = ComputationalDAG(self.n, self.edges, labels, name=self.name, family=self.family)
+        except Exception as exc:  # DAGError and friends — wire data, not our bug
+            raise ProtocolError(f"problem 'dag' does not describe a valid DAG: {exc}") from exc
+        # the DAG keeps edges, labels and name as given: seed the dag_digest memo
+        dag._digest_memo = (self.name, self._checked_dag_hex())
+        return PebblingProblem(dag, r=self.r, game=self.game, variant=self.variant)  # type: ignore[arg-type]
+
+
+def parse_problem(doc: Mapping[str, object]) -> WireProblem:
+    """Decode and type-check a problem document once; see :class:`WireProblem`."""
+    _require(isinstance(doc, Mapping), "'problem' must be an object")
+    dag_doc = doc.get("dag")
+    _require(isinstance(dag_doc, dict), "problem 'dag' must be an object")
+    assert isinstance(dag_doc, dict)
+    n = dag_doc.get("n")
+    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 0, "dag 'n' must be a non-negative integer")
+    assert isinstance(n, int)
+    edges_doc = dag_doc.get("edges")
+    _require(isinstance(edges_doc, list), "dag 'edges' must be a list")
+    assert isinstance(edges_doc, list)
+    # one pass, no per-edge calls; exact types, so a bool is not an int
+    _require(
+        all(
+            type(item) is list and len(item) == 2 and type(item[0]) is int and type(item[1]) is int
+            for item in edges_doc
+        ),
+        "each dag edge must be a [u, v] pair of integers",
+    )
+    edges = cast(Tuple[Edge, ...], tuple(map(tuple, edges_doc)))
+    labels = dag_doc.get("labels")
+    if labels is None:
+        labels = [f"v{v}" for v in range(n)]  # the DAG's default labels
+    _require(
+        isinstance(labels, list) and len(labels) == n and all(isinstance(lb, str) for lb in labels),
+        "dag 'labels' must be a list of n strings",
+    )
+    assert isinstance(labels, list)
+    name = dag_doc.get("name", "dag")
+    _require(isinstance(name, str), "dag 'name' must be a string")
+    family = _family_from_wire(dag_doc.get("family"))
+    dag_hex = content_digest(n, edges, tuple(labels), str(name))
+    r = doc.get("r")
+    _require(isinstance(r, int) and not isinstance(r, bool) and r >= 1, "problem 'r' must be an integer >= 1")
+    assert isinstance(r, int)
+    game = doc.get("game")
+    _require(game in GAMES, f"problem 'game' must be one of {GAMES}")
+    variant = _variant_from_wire(doc.get("variant"))
+    claimed = doc.get("dag_digest")
+    _require(isinstance(claimed, str), "problem 'dag_digest' must be a string")
+    assert isinstance(claimed, str)
+    return WireProblem(n, edges, tuple(labels), str(name), family, dag_hex, claimed, r, str(game), variant)
+
+
 def problem_from_wire(doc: Mapping[str, object]) -> PebblingProblem:
     """Rebuild a :class:`PebblingProblem`, verifying the DAG content digest.
 
@@ -434,57 +521,7 @@ def problem_from_wire(doc: Mapping[str, object]) -> PebblingProblem:
     from the graph it claims to describe — truncated edge lists, re-ordered
     edges, dropped labels — before a solver ever sees the problem.
     """
-    _require(isinstance(doc, Mapping), "'problem' must be an object")
-    dag_doc = doc.get("dag")
-    _require(isinstance(dag_doc, dict), "problem 'dag' must be an object")
-    assert isinstance(dag_doc, dict)
-    n = dag_doc.get("n")
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 0, "dag 'n' must be a non-negative integer")
-    edges_doc = dag_doc.get("edges")
-    _require(isinstance(edges_doc, list), "dag 'edges' must be a list")
-    assert isinstance(edges_doc, list)
-    edges: List[Tuple[int, int]] = []
-    for item in edges_doc:
-        _require(
-            isinstance(item, list)
-            and len(item) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in item),
-            "each dag edge must be a [u, v] pair of integers",
-        )
-        edges.append((item[0], item[1]))
-    labels_doc = dag_doc.get("labels")
-    labels: Optional[Dict[int, str]] = None
-    if labels_doc is not None:
-        _require(
-            isinstance(labels_doc, list)
-            and len(labels_doc) == n
-            and all(isinstance(lb, str) for lb in labels_doc),
-            "dag 'labels' must be a list of n strings",
-        )
-        assert isinstance(labels_doc, list)
-        labels = {v: labels_doc[v] for v in range(int(n))}
-    name = dag_doc.get("name", "dag")
-    _require(isinstance(name, str), "dag 'name' must be a string")
-    family = _family_from_wire(dag_doc.get("family"))
-    try:
-        dag = ComputationalDAG(int(n), edges, labels=labels, name=str(name), family=family)
-    except Exception as exc:  # DAGError and friends — wire data, not our bug
-        raise ProtocolError(f"problem 'dag' does not describe a valid DAG: {exc}") from exc
-
-    claimed = doc.get("dag_digest")
-    _require(isinstance(claimed, str), "problem 'dag_digest' must be a string")
-    actual = dag_digest(dag)
-    _require(
-        actual == claimed,
-        f"dag content digest mismatch (claimed {str(claimed)[:16]}…, rebuilt {actual[:16]}…)",
-    )
-
-    r = doc.get("r")
-    _require(isinstance(r, int) and not isinstance(r, bool) and r >= 1, "problem 'r' must be an integer >= 1")
-    game = doc.get("game")
-    _require(game in GAMES, f"problem 'game' must be one of {GAMES}")
-    variant = _variant_from_wire(doc.get("variant"))
-    return PebblingProblem(dag, r=int(r), game=str(game), variant=variant)  # type: ignore[arg-type]
+    return parse_problem(doc).rebuild()
 
 
 # --------------------------------------------------------------------------- #
@@ -492,22 +529,14 @@ def problem_from_wire(doc: Mapping[str, object]) -> PebblingProblem:
 # --------------------------------------------------------------------------- #
 
 
-def _schedule_to_wire(schedule: Schedule) -> Dict[str, object]:
-    """The v2 schedule payload: packed IR columns plus the description."""
-    ir = from_schedule(schedule)
-    doc: Dict[str, object] = dict(pack_arrays(ir))
-    doc["description"] = ir.description
-    return doc
-
-
-def _schedule_from_wire(problem: PebblingProblem, doc: object) -> Tuple[Schedule, ScheduleStats]:
+def _schedule_from_wire(problem: PebblingProblem, doc: object) -> Tuple[ScheduleIR, ScheduleStats]:
     """Decode and *kernel-validate* a v2 schedule payload.
 
     The packed columns are decoded (any malformation — bad base64, wrong
     byte counts, out-of-range op/node ids — is a :class:`ProtocolError`) and
     the resulting IR is replayed through the kernel, which both
     checks legality/terminality and recomputes every statistic.  Returns the
-    rebuilt schedule together with the kernel-replayed statistics.
+    verified IR together with the kernel-replayed statistics.
     """
     _require(isinstance(doc, dict), "result 'schedule' must be an object")
     assert isinstance(doc, dict)
@@ -516,14 +545,7 @@ def _schedule_from_wire(problem: PebblingProblem, doc: object) -> Tuple[Schedule
     try:
         op, node, arg = unpack_arrays(doc)
         ir = ir_from_arrays(
-            problem.game,
-            problem.dag,
-            problem.r,
-            problem.variant,
-            op,
-            node,
-            arg,
-            description=str(description),
+            problem.game, problem.dag, problem.r, problem.variant, op, node, arg, str(description)
         )
     except ValueError as exc:
         raise ProtocolError(f"malformed schedule columns: {exc}") from exc
@@ -531,7 +553,7 @@ def _schedule_from_wire(problem: PebblingProblem, doc: object) -> Tuple[Schedule
         replayed = kernel_stats(ir)  # raises on an illegal/incomplete schedule
     except Exception as exc:
         raise ProtocolError(f"wire schedule does not replay legally: {exc}") from exc
-    return to_schedule(ir), replayed
+    return ir, replayed
 
 
 def _trajectory_from_wire(doc: Optional[object]) -> Optional[RefinementTrajectory]:
@@ -569,7 +591,8 @@ def result_to_wire(result: SolveResult) -> Dict[str, object]:
         "lower_bound": result.lower_bound,
         "lower_bound_source": result.lower_bound_source,
         "io_cost": result.cost,
-        "schedule": _schedule_to_wire(result.schedule),
+        # the v2 schedule payload: packed IR columns plus the description
+        "schedule": {**pack_arrays(result.ir), "description": result.ir.description},
         "solve_stats": None
         if stats is None
         else {
@@ -616,7 +639,7 @@ def result_from_wire(problem: PebblingProblem, doc: Mapping[str, object]) -> Sol
     replay is refused.
     """
     _require(isinstance(doc, Mapping), "'result' must be an object")
-    schedule, replayed = _schedule_from_wire(problem, doc.get("schedule"))
+    ir, replayed = _schedule_from_wire(problem, doc.get("schedule"))
     claimed_cost = doc.get("io_cost")
     _require(
         isinstance(claimed_cost, int) and replayed.io_cost == claimed_cost,
@@ -658,7 +681,7 @@ def result_from_wire(problem: PebblingProblem, doc: Mapping[str, object]) -> Sol
 
     return SolveResult(
         problem=problem,
-        schedule=schedule,
+        ir=ir,
         stats=replayed,
         solver=str(solver),
         exact_solver=bool(exact_solver),

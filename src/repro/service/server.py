@@ -3,7 +3,7 @@
 One :class:`SolveService` owns the whole request path::
 
     client ──frame──▶ connection handler ──admit──▶ AdmissionQueue
-                                │  cache hit? answer immediately
+                                │  cache hit? answer by digest, pre-rebuild
                                 │  identical solve in flight? share its future
                                 ▼
                        dispatcher tasks ──▶ WorkerPool (processes / threads)
@@ -37,9 +37,9 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-from ..api.cache import ResultCache, cacheable_options, problem_digest
+from ..api.cache import ResultCache, cacheable_options
 from ..api.result import SolveResult
 from ..core.exceptions import SolverError
 from ..obs.metrics import MetricsRegistry
@@ -555,12 +555,6 @@ class SolveService:
                 writer, request_id, "shutting-down", "the service is draining and admits no new work"
             )
             return
-        try:
-            problem = protocol.problem_from_wire(request["problem"])
-        except ProtocolError as exc:
-            await self._try_send_error(writer, request_id, "bad-request", str(exc))
-            return
-
         solver = str(request.get("solver", "auto"))
         options: Dict[str, Any] = dict(request.get("options", {}))
         stream = bool(request.get("stream", False))
@@ -569,18 +563,28 @@ class SolveService:
         deadline_s = request.get("deadline_s")
         loop = asyncio.get_running_loop()
         deadline = None if deadline_s is None else loop.time() + float(deadline_s)
-
-        digest = problem_digest(problem, solver=solver, options=options)
         cacheable = cacheable_options(options)
+        cache = self.cache if cacheable else None
 
-        # 0. a cache probe (cluster peer-fetch) never solves: answer from
+        # 0. the content digest is looked up in the memory tier before the DAG
+        # is rebuilt; a miss rebuilds it and, with a disk tier, looks again there.
+        # A hit's problem is the request's: the digest covers all of its content
+        try:
+            wire = protocol.parse_problem(request["problem"])
+            digest = wire.digest(solver=solver, options=options)
+            hit = None if cache is None else await self._cache_call(cache.get, None, digest)
+            problem = wire.rebuild() if hit is None else hit.problem
+        except ProtocolError as exc:
+            await self._try_send_error(writer, request_id, "bad-request", str(exc))
+            return
+        if hit is None and cache is not None and cache.directory is not None:
+            hit = await self._cache_call(cache.get, problem, digest)
+
+        # 1. a cache probe (cluster peer-fetch) never solves: answer from
         # the shared cache or refuse with `cache-miss`, costing at most one
         # cache lookup — that is what lets a router ask "do you have this?"
         # of every peer before paying for a recompute anywhere
         if bool(request.get("cache_only", False)):
-            hit = None
-            if self.cache is not None and cacheable:
-                hit = await self._cache_get(problem, digest)
             if hit is None:
                 self._stats.job("probe_misses")
                 if span is not None:
@@ -595,26 +599,24 @@ class SolveService:
                 await self._send_result(writer, request_id, None, hit, cache_hit=True, span=span)
             return
 
-        # 1. the shared cache answers repeats without touching the queue
-        if self.cache is not None and cacheable:
-            hit = await self._cache_get(problem, digest)
-            if hit is not None:
-                self._stats.job("cache_answers")
-                if span is not None:
-                    span.set_attr("outcome", "cache_hit")
-                if not wait:
-                    # fire-and-forget keeps its job-id/poll contract even on
-                    # the fast path: wrap the answer in an already-done job
-                    job = self._finished_job(problem, solver, options, digest, hit)
-                    await write_frame(
-                        writer,
-                        make_response("accepted", request_id, job_id=job.job_id, shared=False),
-                    )
-                    return
-                await self._send_result(writer, request_id, None, hit, cache_hit=True, span=span)
+        # 2. the shared cache answers repeats without touching the queue
+        if hit is not None:
+            self._stats.job("cache_answers")
+            if span is not None:
+                span.set_attr("outcome", "cache_hit")
+            if not wait:
+                # fire-and-forget keeps its job-id/poll contract even on
+                # the fast path: wrap the answer in an already-done job
+                job = self._finished_job(problem, solver, options, digest, hit)
+                await write_frame(
+                    writer,
+                    make_response("accepted", request_id, job_id=job.job_id, shared=False),
+                )
                 return
+            await self._send_result(writer, request_id, None, hit, cache_hit=True, span=span)
+            return
 
-        # 2. an identical solve already in flight shares its future (plain
+        # 3. an identical solve already in flight shares its future (plain
         # requests only — a streamed request needs its own event feed)
         if not stream and cacheable:
             shared = self._inflight.get(digest)
@@ -641,7 +643,7 @@ class SolveService:
                     )
                 return
 
-        # 3. fresh admission
+        # 4. fresh admission
         job = ServiceJob(
             job_id=f"job-{next(self._job_seq):06d}-{digest[:10]}",
             problem=problem,
@@ -732,25 +734,14 @@ class SolveService:
             doc["trace_id"] = span.context.trace_id
         await write_frame(writer, doc)
 
-    async def _cache_get(self, problem: Any, digest: str) -> Optional[SolveResult]:
-        """Cache lookup off the event loop (disk read + replay validation)."""
-        assert self.cache is not None
+    async def _cache_call(self, method: Callable[..., Any], *args: Any) -> Any:
+        """One cache operation (lookup or store) off the event loop, on the cache thread."""
         try:
             return await asyncio.get_running_loop().run_in_executor(
-                self._cache_executor, self.cache.get, problem, digest
+                self._cache_executor, method, *args
             )
         except RuntimeError:  # executor torn down mid-shutdown; do it inline
-            return self.cache.get(problem, digest)
-
-    async def _cache_put(self, digest: str, result: SolveResult) -> None:
-        """Cache store off the event loop (pickle + write + disk pruning)."""
-        assert self.cache is not None
-        try:
-            await asyncio.get_running_loop().run_in_executor(
-                self._cache_executor, self.cache.put, digest, result
-            )
-        except RuntimeError:
-            self.cache.put(digest, result)
+            return method(*args)
 
     def _finished_job(
         self,
@@ -857,7 +848,7 @@ class SolveService:
             job.state = JobState.DONE
             self._stats.job("completed")
             if self.cache is not None and job.cacheable:
-                await self._cache_put(job.digest, result)
+                await self._cache_call(self.cache.put, job.digest, result)
             if not job.future.done():
                 job.future.set_result(result)
         finally:

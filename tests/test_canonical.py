@@ -1,6 +1,6 @@
 """DAG canonicalization: soundness, determinism, and invariance where promised."""
 
-from repro.core.canonical import canonical_form, canonical_labeling, dag_digest
+from repro.core.canonical import canonical_form, canonical_labeling, content_digest, dag_digest
 from repro.core.dag import ComputationalDAG
 from repro.dags import figure1_gadget, kary_tree_dag
 from repro.dags.random_dags import random_dag
@@ -75,3 +75,22 @@ class TestDagDigest:
         b = random_dag(6, edge_probability=0.3, seed=2)
         assert dag_digest(a) != dag_digest(b)
         assert dag_digest(a) == dag_digest(random_dag(6, edge_probability=0.3, seed=1))
+
+    def test_content_digest_is_the_exact_digest(self):
+        dag = kary_tree_dag(2, 3)
+        labels = tuple(dag.label(v) for v in range(dag.n))
+        assert content_digest(dag.n, dag.edges, labels, dag.name) == dag_digest(dag)
+
+    def test_renaming_a_dag_changes_its_memoized_digest(self):
+        # the digest is memoized per DAG object, and ``name`` is the one
+        # mutable part of its content: a rename must not serve a stale memo
+        dag = figure1_gadget()
+        before = dag_digest(dag)
+        assert dag_digest(dag) == before
+        dag.name = "renamed"
+        after = dag_digest(dag)
+        assert after != before
+        labels = {v: dag.label(v) for v in range(dag.n)}
+        assert after == dag_digest(ComputationalDAG(dag.n, dag.edges, labels, name="renamed"))
+        dag.name = figure1_gadget().name
+        assert dag_digest(dag) == before

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.api import PebblingProblem, solve
+from repro.api import PebblingProblem, problem_digest, solve
+from repro.core.canonical import content_digest, dag_digest
+from repro.core.dag import ComputationalDAG, DAGFamily
 from repro.core.schedule_ir import ir_from_arrays, pack_arrays, unpack_arrays
-from repro.core.variants import ONE_SHOT, RECOMPUTE, GameVariant
+from repro.core.variants import NO_DELETE, ONE_SHOT, RECOMPUTE, SLIDING, GameVariant
 from repro.dags import chained_gadget_dag, fft_dag, figure1_gadget, kary_tree_dag
 from repro.dags.random_dags import random_layered_dag
 from repro.service.protocol import (
@@ -24,6 +26,7 @@ from repro.service.protocol import (
     decode_frame,
     encode_frame,
     make_request,
+    parse_problem,
     problem_from_wire,
     problem_to_wire,
     read_frame,
@@ -31,6 +34,11 @@ from repro.service.protocol import (
     result_to_wire,
     validate_request,
 )
+
+
+def _wire_digest(doc, **kwargs):
+    """The digest-first path: the problem digest of a document, without the rebuild."""
+    return parse_problem(doc).digest(**kwargs)
 
 
 def _read_all(data: bytes, max_bytes: int = MAX_FRAME_BYTES):
@@ -216,6 +224,55 @@ class TestRequestValidation:
             validate_request(make_request("poll", "r1"))
 
 
+#: Every variant bundle, plus the compute-cost fields.
+_VARIANTS = (
+    ONE_SHOT,
+    RECOMPUTE,
+    SLIDING,
+    NO_DELETE,
+    GameVariant(one_shot=False, compute_cost=0.5, split_compute_cost=True),
+)
+
+_NAMES = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+@st.composite
+def _wire_problems(draw):
+    """A random problem, whether to drop its default labels, a solver and options."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    perm = draw(st.permutations(range(n)))
+    edges = [(perm[u], perm[v]) for u, v in chosen]
+    custom_labels = draw(st.booleans())
+    labels = {v: draw(_NAMES) for v in range(n)} if custom_labels else None
+    family = draw(
+        st.none()
+        | st.builds(
+            lambda sizes, p, seed: DAGFamily.tag("layered", layer_sizes=sizes, p=p, seed=seed),
+            st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple),
+            st.floats(0, 1),
+            st.integers(0, 99),
+        )
+        | st.builds(lambda k: DAGFamily.tag("tree", k=k, shape=("a", (k, "b"))), st.integers(2, 4))
+    )
+    dag = ComputationalDAG(n, edges, labels=labels, name=draw(_NAMES), family=family)
+    game = draw(st.sampled_from(("rbp", "prbp")))
+    variants = [v for v in _VARIANTS if game == "rbp" or not v.allow_sliding]
+    problem = PebblingProblem(
+        dag, r=draw(st.integers(1, 6)), game=game, variant=draw(st.sampled_from(variants))
+    )
+    solver = draw(st.sampled_from(("auto", "greedy", "exhaustive")))
+    options = draw(
+        st.dictionaries(
+            st.sampled_from(("seed", "refine_steps", "budget", "time_budget_s", "on_progress")),
+            st.none() | st.integers(0, 99) | st.floats(0, 5),
+            max_size=3,
+        )
+    )
+    return problem, not custom_labels and draw(st.booleans()), solver, options
+
+
 class TestProblemRoundTrip:
     def test_round_trips_every_problem_shape(self):
         for problem in _problems():
@@ -240,14 +297,21 @@ class TestProblemRoundTrip:
     def test_digest_mismatch_is_refused(self):
         doc = problem_to_wire(_problems()[0])
         doc["dag_digest"] = "0" * 64
-        with pytest.raises(ProtocolError, match="digest mismatch"):
-            problem_from_wire(doc)
+        for decode in (problem_from_wire, _wire_digest):
+            with pytest.raises(ProtocolError, match="digest mismatch"):
+                decode(doc)
 
     def test_tampered_edges_are_refused_by_the_digest(self):
         doc = problem_to_wire(PebblingProblem(kary_tree_dag(2, 3), r=3, game="prbp"))
         doc["dag"]["edges"] = doc["dag"]["edges"][:-1]
+        for decode in (problem_from_wire, _wire_digest):
+            with pytest.raises(ProtocolError, match="digest mismatch"):
+                decode(doc)
+        # the digest-first path also catches content changes the DAG keeps valid
+        doc = problem_to_wire(PebblingProblem(kary_tree_dag(2, 3), r=3, game="prbp"))
+        doc["dag"]["labels"][0] = "forged"
         with pytest.raises(ProtocolError, match="digest mismatch"):
-            problem_from_wire(doc)
+            _wire_digest(doc)
 
     def test_malformed_problem_documents_are_refused(self):
         good = problem_to_wire(_problems()[0])
@@ -261,17 +325,43 @@ class TestProblemRoundTrip:
             lambda d: d["dag"].__setitem__("edges", [[0, 1, 2]]),
             lambda d: d["dag"].__setitem__("labels", ["only-one"]),
             lambda d: d["dag"].__setitem__("family", {"params": []}),
+            # the variant decoder validates types, it does not coerce them
+            lambda d: d["variant"].__setitem__("one_shot", "no"),
+            lambda d: d["variant"].__setitem__("allow_sliding", 0),
+            lambda d: d["variant"].__setitem__("allow_delete", None),
+            lambda d: d["variant"].__setitem__("split_compute_cost", "false"),
+            lambda d: d["variant"].__setitem__("compute_cost", True),
+            lambda d: d["variant"].__setitem__("compute_cost", "1.0"),
+            lambda d: d["variant"].__setitem__("compute_cost", [1]),
         ):
             doc = json.loads(json.dumps(good))
             mutate(doc)
             with pytest.raises(ProtocolError):
                 problem_from_wire(doc)
+            # the digest-first path refuses the same documents
+            with pytest.raises(ProtocolError):
+                _wire_digest(doc)
 
     def test_cyclic_edge_list_is_a_protocol_error(self):
         doc = problem_to_wire(PebblingProblem(figure1_gadget(), r=4, game="prbp"))
         doc["dag"]["edges"] = [[0, 1], [1, 0]]
         with pytest.raises(ProtocolError, match="valid DAG"):
             problem_from_wire(doc)
+
+    @given(_wire_problems())
+    def test_wire_digest_is_the_digest_of_the_rebuilt_problem(self, case):
+        problem, drop_labels, solver, options = case
+        doc = json.loads(json.dumps(problem_to_wire(problem)))
+        if drop_labels:
+            del doc["dag"]["labels"]
+        digest = _wire_digest(doc, solver=solver, options=options)
+        rebuilt = problem_from_wire(doc)
+        assert digest == problem_digest(rebuilt, solver=solver, options=options)
+        assert digest == problem_digest(problem, solver=solver, options=options)
+        # the rebuild seeds the DAG's digest memo; the seed is the DAG's own digest
+        dag = rebuilt.dag
+        labels = tuple(dag.label(v) for v in range(dag.n))
+        assert dag_digest(dag) == content_digest(dag.n, dag.edges, labels, dag.name)
 
     @given(st.binary(max_size=64))
     def test_fuzz_problem_from_wire_raises_protocol_error_only(self, blob):
@@ -404,6 +494,16 @@ class TestVariantCodec:
                 problem = PebblingProblem(figure1_gadget(), r=4, game="rbp", variant=variant)
                 doc = json.loads(json.dumps(problem_to_wire(problem)))
                 assert problem_from_wire(doc).variant == variant
+
+    def test_locally_valid_variants_are_coerced_on_the_way_out(self):
+        # GameVariant accepts ints for its flags and cost; the sender
+        # coerces them, so the strict decoder never refuses a valid variant
+        variant = GameVariant(one_shot=1, compute_cost=1)  # type: ignore[arg-type]
+        problem = PebblingProblem(figure1_gadget(), r=4, game="rbp", variant=variant)
+        doc = json.loads(json.dumps(problem_to_wire(problem)))
+        assert doc["variant"]["one_shot"] is True
+        assert isinstance(doc["variant"]["compute_cost"], float)
+        assert problem_from_wire(doc).variant == variant
 
     def test_unknown_variant_fields_are_refused(self):
         doc = problem_to_wire(_problems()[0])

@@ -12,6 +12,9 @@ Run ``pytest tests/test_schedule_ir.py --hypothesis-profile=thorough`` for
 the deep sweep (1500 examples per property, >10k differential cases).
 """
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -335,6 +338,36 @@ def test_tampered_columns_rejected(game, op, node, arg, fragment):
             np.array([node], dtype=np.int32),
             np.array([arg], dtype=np.int32),
         )
+
+
+def test_ir_columns_are_read_only_and_owned_by_the_ir():
+    # a cached result hands one IR to every caller; none may edit it
+    ir, doc = _sample_doc()
+    for column in (ir.op, ir.node, ir.arg):
+        with pytest.raises(ValueError):
+            column[0] = 0
+    # a caller's writeable arrays are copied, so writing to them later
+    # cannot reach the IR built from them
+    op, node, arg = (column.copy() for column in sir.unpack_arrays(doc))
+    built = sir.ir_from_arrays(
+        "rbp", ir.dag, ir.r, ir.variant, op, node, arg, description=ir.description
+    )
+    node[0] = (int(node[0]) + 1) % ir.dag.n
+    assert sir.ir_digest(built) == sir.ir_digest(ir)
+    assert not built.node.flags.writeable
+
+
+def test_an_unpickled_ir_is_read_only_and_equal_by_value():
+    # process pools and the disk cache pickle IRs; the write lock must survive
+    ir, _ = _sample_doc()
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps(ir, protocol=protocol))
+        assert clone == ir and clone is not ir
+        for column in (clone.op, clone.node, clone.arg):
+            with pytest.raises(ValueError):
+                column[0] = 0
+    assert ir != dataclasses.replace(ir, description="other")
+    assert ir != dataclasses.replace(ir, op=ir.op[::-1])
 
 
 def test_tampered_column_changes_digest_and_fails_replay():

@@ -13,12 +13,16 @@ wall-clock window without touching the cache or the dedup table.
 """
 
 import asyncio
+import collections
 import json
 import struct
+import sys
 
 import pytest
 
 from repro.api import PebblingProblem, solve
+from repro.core import schedule_ir
+from repro.core.dag import ComputationalDAG
 from repro.dags import chained_gadget_dag, figure1_gadget, kary_tree_dag
 from repro.dags.random_dags import random_layered_dag
 from repro.service import (
@@ -30,7 +34,13 @@ from repro.service import (
 )
 from repro.obs.metrics import parse_exposition
 from repro.obs.tracing import Tracer
-from repro.service.protocol import PROTOCOL_VERSION, encode_frame, make_request, read_frame
+from repro.service.protocol import (
+    PROTOCOL_VERSION,
+    encode_frame,
+    make_request,
+    problem_to_wire,
+    read_frame,
+)
 
 
 def _mixed_workload():
@@ -755,3 +765,90 @@ class TestCacheProbe:
                 assert probed is None
 
         _run_with_service(scenario, workers=1)
+
+
+def _count_cached_path_work(monkeypatch):
+    """Count DAG constructions and schedule conversions, in every repro module."""
+    counts = collections.Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("encode_moves", "decode_moves", "to_schedule", "from_schedule"):
+        original = getattr(schedule_ir, name)
+        wrapper = counting(name, original)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and (
+                getattr(module, name, None) is original
+            ):
+                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(
+        ComputationalDAG, "__init__", counting("ComputationalDAG", ComputationalDAG.__init__)
+    )
+    return counts
+
+
+class TestDigestFirstCacheHits:
+    """Memory-cache hits are answered by content digest, as packed columns."""
+
+    def test_a_warm_hit_builds_no_dag_and_no_move_objects(self, monkeypatch):
+        problem = PebblingProblem(kary_tree_dag(2, 5), r=3, game="prbp")
+
+        async def scenario(service, host, port):
+            async with await ServiceClient.connect(host, port) as client:
+                solved = await client.solve(problem)
+                counts = _count_cached_path_work(monkeypatch)
+                hit, meta = await client.solve_detailed(problem)
+                probed = await client.probe(problem)
+                assert dict(counts) == {}  # server and client alike
+                monkeypatch.undo()
+                assert meta["cache_hit"] is True and probed is not None
+                assert hit.cost == probed.cost == solved.cost
+                assert hit.schedule.moves == probed.schedule.moves == solved.schedule.moves
+                stats = await client.stats()
+                assert stats["jobs"]["cache_answers"] == 1
+                assert stats["jobs"]["probe_hits"] == 1
+                assert stats["cache"]["hits"] == 2 and stats["cache"]["misses"] == 1
+
+        _run_with_service(scenario)
+
+    def test_a_forged_digest_claim_is_refused_never_served(self):
+        original = PebblingProblem(kary_tree_dag(2, 3), r=3, game="prbp")
+        dag = original.dag
+        labels = {v: dag.label(v) for v in range(dag.n)}
+        labels[0] = "forged"
+        changed = PebblingProblem(
+            ComputationalDAG(dag.n, dag.edges, labels, name=dag.name, family=dag.family),
+            r=3,
+            game="prbp",
+        )
+
+        async def scenario(service, host, port):
+            async with await ServiceClient.connect(host, port) as client:
+                await client.solve(original)
+            # changed content under the cached problem's digest claim
+            forged = problem_to_wire(changed)
+            forged["dag_digest"] = problem_to_wire(original)["dag_digest"]
+            reader, writer = await asyncio.open_connection(host, port)
+            for i, extra in enumerate(({}, {"cache_only": True})):
+                request = make_request("solve", f"f{i}", problem=forged, **extra)
+                writer.write(encode_frame(request))
+                await writer.drain()
+                doc = await read_frame(reader)
+                assert doc["op"] == "error" and doc["code"] == "bad-request"
+                assert "digest mismatch" in doc["error"]
+            writer.close()
+            # the same change with a correct claim is a miss, and is solved
+            async with await ServiceClient.connect(host, port) as client:
+                result, meta = await client.solve_detailed(changed)
+                stats = await client.stats()
+            assert meta["cache_hit"] is False
+            assert result.cost == solve(changed).cost
+            assert stats["jobs"]["admitted"] == 2
+            assert stats["jobs"]["cache_answers"] == 0 and stats["jobs"]["probe_hits"] == 0
+
+        _run_with_service(scenario)

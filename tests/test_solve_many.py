@@ -8,6 +8,7 @@ answered with recomputation, never with a damaged result.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -16,12 +17,14 @@ from repro.api import (
     ResultCache,
     SolveResult,
     cacheable_options,
+    get_solver,
     problem_digest,
     solve,
     solve_many,
     solve_many_detailed,
 )
 from repro.core.exceptions import SolverError
+from repro.core.schedule_ir import from_schedule
 from repro.dags import figure1_gadget, kary_tree_dag
 from repro.dags.random_dags import random_dag, random_layered_dag
 
@@ -289,12 +292,68 @@ class TestCacheIntegrity:
         assert cache.stats.hits == len(problems)
         _assert_identical(second, first)
 
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_a_cache_hit_cannot_be_edited_by_its_caller(self, jobs):
+        # every memory hit hands out the same result object: its schedule
+        # columns must be read-only, or one caller could corrupt the next;
+        # with jobs=2 the cached results were unpickled from worker processes
+        problems = _mixed_batch()[2:4]
+        cache = ResultCache(directory=None)
+        solve_many(problems, jobs=jobs, cache=cache)
+        hits = solve_many(problems, cache=cache)
+        assert cache.stats.hits == len(problems)
+        for hit in hits:
+            with pytest.raises(ValueError):
+                hit.ir.op[0] = 0
+        _assert_identical(solve_many(problems, cache=cache), [solve(p) for p in problems])
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_a_lookup_before_the_rebuild_counts_like_one_get(self, tmp_path, on_disk):
+        # get(None, digest) reads the memory tier only; with a disk tier the
+        # miss is counted by the follow-up get(problem, digest) alone
+        problem = PebblingProblem(figure1_gadget(), r=4, game="prbp")
+        digest = problem_digest(problem)
+        cache = ResultCache(directory=tmp_path if on_disk else None)
+        assert cache.get(None, digest) is None
+        if on_disk:
+            assert cache.stats.misses == 0
+            assert cache.get(problem, digest) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+        stored = solve(problem)
+        cache.put(digest, stored)
+        assert cache.get(None, digest) is stored
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+        if on_disk:
+            cache._memory.clear()  # only the disk tier holds it now
+            assert cache.get(None, digest) is None
+            assert cache.get(problem, digest) == stored  # decoded, equal by value
+            assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+
     def test_clear_empties_the_store(self, tmp_path):
         problem, digest, path, _ = self._prime(tmp_path)
         cache = ResultCache(directory=tmp_path)
         cache.clear()
         assert not path.exists()
         assert cache.get(problem, digest) is None
+
+
+class TestResultPickling:
+    def test_the_move_object_view_is_not_pickled(self):
+        # what a process-pool worker ships back: a result whose schedule
+        # view was touched must travel as columns only
+        problem = PebblingProblem(figure1_gadget(), r=4, game="rbp")
+        result = solve(problem, solver="exhaustive")
+        moves = result.schedule.moves
+        assert "schedule" in vars(result)
+        clone = pickle.loads(pickle.dumps(result))
+        assert "schedule" not in vars(clone)
+        assert pickle.dumps(result) == pickle.dumps(clone)
+        built = get_solver("exhaustive").fn(problem).schedule
+        assert clone.schedule.moves == moves == built.moves
+        assert built.stats() == clone.stats  # the engine replays the same cost
+        assert clone == result  # results compare by value, schedule included
+        assert replace(result, ir=from_schedule(built)) == result
+        assert replace(clone, ir=replace(clone.ir, description="other")) != result
 
 
 class TestDigest:
